@@ -138,13 +138,9 @@ def _cmd_score(args) -> int:
     elif cfg["fmt"] == "csv":
         with open(out, "w") as f:
             f.write(",".join(_SCORE_COLUMNS) + "\n")
-            for i in range(features.n):
-                row = []
-                for name in _SCORE_COLUMNS:
-                    v = cols[name][i]
-                    row.append(str(int(v)) if name in ("sample_index", "argmax_class")
-                               else repr(float(v)))
-                f.write(",".join(row) + "\n")
+            text = [map(str if name in ("sample_index", "argmax_class") else repr,
+                        cols[name].tolist()) for name in _SCORE_COLUMNS]
+            f.writelines(",".join(row) + "\n" for row in zip(*text))
     else:
         raise ConfigError(f"unknown format {cfg['fmt']!r}")
     return EXIT_OK

@@ -149,10 +149,7 @@ def softmax(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
 
     Uses max-logit subtraction for numerical stability.
     """
-    ell = logits(head, z)
-    ell = ell - ell.max()
-    e = np.exp(ell)
-    return e / e.sum()
+    return softmax_from_logits(logits(head, z))
 
 
 def softmax_from_logits(ell: np.ndarray) -> np.ndarray:
@@ -171,17 +168,28 @@ def decompose(head: SoftmaxHead, z: np.ndarray) -> AngleDecomposition:
     z = _as_f64(z)
     if z.shape != (head.h,):
         raise DimensionError(f"expected z of shape ({head.h},), got {z.shape}")
+    wz, z_norm, cos = _angles(head, z[None, :])
+    return AngleDecomposition(z_norm=float(z_norm[0]), cos_theta=cos[0],
+                              argmax_class=int(np.argmax(wz[0] + head.b)))
+
+
+def _angles(head: SoftmaxHead, x: np.ndarray):
+    """Bias-free logits x.w, row norms ||z|| and clipped cosines for N x H rows.
+
+    einsum with ``optimize=False`` reduces each row in the same order whatever
+    the batch size, so every row's bits are independent of how a batch is
+    split; a BLAS matrix product is not. Cosines of a zero row are 0.
+    """
+    if x.shape[1] != head.h:
+        raise DimensionError(f"expected features of width {head.h}, got {x.shape[1]}")
     w_norms = head.column_norms()
     if np.any(w_norms == 0.0):
         raise DegenerateWeightError("head has a zero-norm weight column")
-    z_norm = float(np.linalg.norm(z))
-    if z_norm == 0.0:
-        cos = np.zeros(head.k)
-    else:
-        cos = (head.w.T @ z) / (w_norms * z_norm)
-        cos = np.clip(cos, -1.0, 1.0)
-    argmax = int(np.argmax(head.w.T @ z + head.b))
-    return AngleDecomposition(z_norm=z_norm, cos_theta=cos, argmax_class=argmax)
+    wz = np.einsum("nh,hk->nk", x, head.w, optimize=False)
+    z_norm = np.sqrt(np.einsum("nh,nh->n", x, x, optimize=False))
+    cos = np.divide(wz, np.outer(z_norm, w_norms), out=np.zeros_like(wz),
+                    where=z_norm[:, None] > 0.0)
+    return wz, z_norm, np.clip(cos, -1.0, 1.0, out=cos)
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +238,40 @@ def _save_features_csv(path, features, labels):
 
 def _load_features_csv(path, k):
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(csv.reader(f), None)
+        if header is None:
             raise DataFormatError("empty feature file")
         has_labels = bool(header) and header[-1] == "label"
         h = len(header) - (1 if has_labels else 0)
-        expected = [f"h{i}" for i in range(h)]
-        if header[:h] != expected:
+        if h < 1 or header[:h] != [f"h{i}" for i in range(h)]:
             raise DataFormatError("malformed feature header, expected h0..h{H-1}[,label]")
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(f"row {lineno} has {len(row)} fields, expected {len(header)}")
-            try:
-                rows.append([float(v) for v in row[:h]])
+        labels = []
+        lineno = 1
+
+        def checked_lines():
+            # np.loadtxt pulls one line at a time, so ``lineno`` names the line
+            # being parsed when loadtxt or int() raises. loadtxt would skip
+            # blank lines itself.
+            nonlocal lineno
+            for lineno, line in enumerate(f, start=2):
+                fields = 0 if line.isspace() else line.count(",") + 1
+                if fields != len(header):
+                    raise DataFormatError(f"row {lineno} has {fields} fields, "
+                                          f"expected {len(header)}")
                 if has_labels:
-                    labels.append(int(row[h]))
-            except ValueError as e:
-                raise DataFormatError(f"row {lineno}: non-numeric field") from e
-    features = FeatureMatrix(np.array(rows, dtype=np.float64))
+                    labels.append(int(line.rpartition(",")[2]))
+                yield line
+            if lineno == 1:
+                raise DataFormatError("feature file has no data rows")
+
+        try:
+            data = np.loadtxt(checked_lines(), delimiter=",", usecols=range(h),
+                              comments=None, ndmin=2)
+        except ValueError as e:
+            raise DataFormatError(f"row {lineno}: non-numeric field") from e
+    features = FeatureMatrix(data)
     if has_labels:
-        kk = k if k is not None else (max(labels) + 1 if labels else 1)
+        kk = k if k is not None else max(labels) + 1
         return features, LabelVector(np.array(labels), k=kk)
     return features, None
 
@@ -309,5 +328,7 @@ def load_head(path) -> SoftmaxHead:
             raise DataFormatError("non-numeric field in head file") from e
     if len(rows) < 2:
         raise DataFormatError("head file needs at least one weight row plus a bias row")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DataFormatError("head file rows differ in length")
     arr = np.array(rows, dtype=np.float64)
     return SoftmaxHead(w=arr[:-1], b=arr[-1])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, SoftmaxHead, decompose, logits, softmax, softmax_from_logits
+from .core import FeatureMatrix, SoftmaxHead, _angles, logits, softmax, softmax_from_logits
 from .errors import ArgmaxTieError, ConfigError
 from .gmm import GaussianMixture
 
@@ -40,10 +40,9 @@ class UncertaintyScore:
     estimator_id: str
 
 
-def _entropy(p: np.ndarray) -> float:
-    # 0 * log 0 treated as 0
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy (natural log) along the last axis; 0 log 0 is 0."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def u_max(head: SoftmaxHead, z) -> UncertaintyScore:
@@ -54,7 +53,8 @@ def u_max(head: SoftmaxHead, z) -> UncertaintyScore:
 
 def u_entropy(head: SoftmaxHead, z) -> UncertaintyScore:
     """Shannon entropy of the softmax output (natural log)."""
-    return UncertaintyScore(value=_entropy(softmax(head, z)), estimator_id="entropy")
+    return UncertaintyScore(value=float(_entropy_rows(softmax(head, z))),
+                            estimator_id="entropy")
 
 
 def u_cool(head: SoftmaxHead, z, temperature: float = COOL_TEMPERATURE,
@@ -69,8 +69,8 @@ def u_cool(head: SoftmaxHead, z, temperature: float = COOL_TEMPERATURE,
         ell = temperature * logits(head, z)
     else:
         ell = head.w.T @ (temperature * np.asarray(z, dtype=np.float64)) + head.b
-    p = softmax_from_logits(ell)
-    return UncertaintyScore(value=_entropy(p), estimator_id="cool")
+    return UncertaintyScore(value=float(_entropy_rows(softmax_from_logits(ell))),
+                            estimator_id="cool")
 
 
 def u_mental(k: int, z_norm: float, max_cos: float) -> UncertaintyScore:
@@ -138,28 +138,24 @@ def score_batch(head: SoftmaxHead, features: FeatureMatrix,
     """Score every sample with all estimators.
 
     Returns a dict of column name -> 1-D array, in the batch-scoring CSV
-    column order. Results are independent of any partitioning of the batch.
+    column order. Every column but ``u_density`` is bitwise independent of
+    how the batch is split: the logits come from one row-wise einsum and every
+    later step is elementwise or a reduction along a row. ``u_density`` can
+    differ in the last ulp for a one-row batch, whose triangular solve takes
+    another BLAS path.
     """
     n = features.n
-    cols = {
+    wz, z_norm, cos = _angles(head, features.data)
+    ell = wz + head.b
+    p = softmax_from_logits(ell)
+    return {
         "sample_index": np.arange(n),
-        "u_max": np.empty(n),
-        "u_entropy": np.empty(n),
-        "u_cool": np.empty(n),
-        "u_density": np.full(n, np.nan),
-        "z_norm": np.empty(n),
-        "max_cos": np.empty(n),
-        "argmax_class": np.empty(n, dtype=np.int64),
+        "u_max": -p.max(axis=1),
+        "u_entropy": _entropy_rows(p),
+        "u_cool": _entropy_rows(softmax_from_logits(cool_temperature * ell)),
+        "u_density": (np.full(n, np.nan) if gmm is None
+                      else -gmm.log_density_batch(features.data)),
+        "z_norm": z_norm,
+        "max_cos": cos.max(axis=1),
+        "argmax_class": ell.argmax(axis=1),
     }
-    for i in range(n):
-        z = features.data[i]
-        cols["u_max"][i] = u_max(head, z).value
-        cols["u_entropy"][i] = u_entropy(head, z).value
-        cols["u_cool"][i] = u_cool(head, z, temperature=cool_temperature).value
-        dec = decompose(head, z)
-        cols["z_norm"][i] = dec.z_norm
-        cols["max_cos"][i] = dec.cos_theta.max() if dec.z_norm > 0 else 0.0
-        cols["argmax_class"][i] = dec.argmax_class
-    if gmm is not None:
-        cols["u_density"] = -gmm.log_density_batch(features.data)
-    return cols

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .core import FeatureMatrix, LabelVector
-from .errors import ConfigError, DimensionError, NotFittedError, SingularModelError
+from .errors import (ConfigError, DataFormatError, DimensionError, NotFittedError,
+                     SingularModelError)
 
 __all__ = ["GaussianMixture", "EmConfig", "fit_em", "default_config"]
 
@@ -157,6 +158,9 @@ class GaussianMixture:
     def from_dict(cls, d: dict) -> "GaussianMixture":
         if d.get("format_version") != cls.FORMAT_VERSION:
             raise ConfigError("unsupported mixture format version")
+        missing = [key for key in ("k", "weights", "means", "covariances") if key not in d]
+        if missing:
+            raise DataFormatError(f"mixture file lacks required keys {missing}")
         k = d["k"]
         covs = np.asarray(d["covariances"], dtype=np.float64)
         h = int(round(np.sqrt(covs.shape[1])))

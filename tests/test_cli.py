@@ -168,6 +168,25 @@ class TestExitCodes:
         assert _run("gen-head", "--outdir", str(tmp_path), "--kind", "optimal",
                     "--k", "5", "--h", "2") == EXIT_CONFIG
 
+    def test_ragged_head_file(self, tmp_path):
+        (tmp_path / "head.csv").write_text("1.0,2.0\n3.0\n0,0\n")
+        assert _run("audit-head", "--outdir", str(tmp_path),
+                    "--head", str(tmp_path / "head.csv")) == EXIT_IO
+
+    @pytest.mark.parametrize("key", ["k", "weights", "means", "covariances"])
+    def test_mixture_file_missing_key(self, tmp_path, key):
+        head = _write_cluster_features(tmp_path / "f.csv", h=2)
+        from oodkit.core import save_head
+        save_head(tmp_path / "head.csv", head)
+        mixture = {"format_version": 1, "k": 1, "weights": [1.0], "means": [[0.0, 0.0]],
+                   "covariances": [[1.0, 0.0, 0.0, 1.0]]}
+        del mixture[key]
+        (tmp_path / "gmm.json").write_text(json.dumps(mixture))
+        assert _run("score", "--outdir", str(tmp_path),
+                    "--features", str(tmp_path / "f.csv"),
+                    "--head", str(tmp_path / "head.csv"),
+                    "--gmm", str(tmp_path / "gmm.json")) == EXIT_IO
+
 
 class TestTrainToyAndSweep:
     def test_train_summary_and_sweep(self, tmp_path):

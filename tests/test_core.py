@@ -171,9 +171,44 @@ class TestFeatureFiles:
         with pytest.raises(DataFormatError):
             load_features(p)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"])
+    def test_csv_roundtrip_is_bit_exact(self, tmp_path, newline):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-300, 300, size=(50, 6))
+        p = tmp_path / "f.csv"
+        save_features(p, FeatureMatrix(data), LabelVector(rng.integers(0, 3, 50), k=3))
+        p.write_bytes(p.read_bytes().replace(b"\r\n", newline.encode()))
+        fm, _ = load_features(p)
+        np.testing.assert_array_equal(fm.data, data)
+
     def test_ragged_row_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("h0,h1\n1.0,2.0\n3.0\n")
+        with pytest.raises(DataFormatError, match="row 3 "):
+            load_features(p)
+
+    # Quoted numbers and digit separators are rejected: save_features writes
+    # neither, and the CSV reader parses fields with numpy, not Python float().
+    @pytest.mark.parametrize("text, line", [
+        ("h0,h1\n1.0,2.0\n\n3.0,4.0\n", 3),
+        ("h0\n1.0\n\n2.0\n", 3),
+        ("h0,h1\n1.0,2.0\n3.0,x\n5.0,6.0\n", 3),
+        ("h0,h1,label\n1.0,2.0,1\n3.0,4.0,3.0\n", 3),
+        ("h0,h1\n1.0,2.0\n\"3.0\",4.0\n", 3),
+        ("h0,h1\n1_0,2.0\n", 2),
+    ], ids=["blank-line", "blank-line-one-column", "non-numeric", "float-label",
+            "quoted-number", "digit-separator"])
+    def test_malformed_row_names_its_line(self, tmp_path, text, line):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=f"row {line}[ :]"):
+            load_features(p)
+
+    @pytest.mark.parametrize("text", ["h0,h1\n", "label\n3\n"],
+                             ids=["header-only", "label-only"])
+    def test_file_without_data_or_feature_columns_rejected(self, tmp_path, text):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
         with pytest.raises(DataFormatError):
             load_features(p)
 
