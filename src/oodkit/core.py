@@ -159,6 +159,11 @@ def softmax_from_logits(ell: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy (natural log) along the last axis; 0 log 0 is 0."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
 def decompose(head: SoftmaxHead, z: np.ndarray) -> AngleDecomposition:
     """Split w_i . z into ||z|| ||w_i|| cos(theta) terms.
 

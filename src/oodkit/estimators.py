@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, SoftmaxHead, _angles, logits, softmax, softmax_from_logits
+from .core import (FeatureMatrix, SoftmaxHead, _angles, _entropy_rows, logits, softmax,
+                   softmax_from_logits)
 from .errors import ArgmaxTieError, ConfigError
 from .gmm import GaussianMixture
 
@@ -38,11 +39,6 @@ COOL_TEMPERATURE = 0.1
 class UncertaintyScore:
     value: float
     estimator_id: str
-
-
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy (natural log) along the last axis; 0 log 0 is 0."""
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def u_max(head: SoftmaxHead, z) -> UncertaintyScore:

@@ -14,8 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
-from scipy.stats import chi2
+from scipy.special import chdtri, erf
 
 from .core import FeatureMatrix, SoftmaxHead, softmax_from_logits
 from .errors import ConfigError, DimensionError, NumericalError
@@ -347,7 +346,7 @@ def density_region(gmm: GaussianMixture, epsilon: float) -> DensityRegion:
     """
     if not 0.0 < epsilon < 1.0:
         raise ConfigError("epsilon must lie in (0, 1)")
-    c = chi2.ppf(1.0 - epsilon, df=gmm.h)
+    c = chdtri(gmm.h, epsilon)  # the chi-square (1 - epsilon)-quantile
     return DensityRegion(gmm=gmm, thresholds=np.full(gmm.k_components, c),
                          epsilon=epsilon)
 

@@ -19,7 +19,7 @@ from .core import FeatureMatrix, LabelVector
 from .errors import (ConfigError, DataFormatError, DimensionError, NotFittedError,
                      SingularModelError)
 
-__all__ = ["GaussianMixture", "EmConfig", "fit_em", "default_config"]
+__all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -42,10 +42,6 @@ class EmConfig:
             raise ConfigError("reg must be >= 0")
         if self.init not in ("labels", "kmeans_pp"):
             raise ConfigError(f"unknown init {self.init!r}")
-
-
-def default_config(**overrides) -> EmConfig:
-    return EmConfig(**overrides)
 
 
 class GaussianMixture:
@@ -156,16 +152,35 @@ class GaussianMixture:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianMixture":
+        """Rebuild a saved mixture; a payload that does not have the saved
+        layout (K rows of H*H covariance entries) raises DataFormatError."""
+        if not isinstance(d, dict):
+            raise DataFormatError("mixture file must hold a JSON object")
         if d.get("format_version") != cls.FORMAT_VERSION:
             raise ConfigError("unsupported mixture format version")
         missing = [key for key in ("k", "weights", "means", "covariances") if key not in d]
         if missing:
             raise DataFormatError(f"mixture file lacks required keys {missing}")
         k = d["k"]
-        covs = np.asarray(d["covariances"], dtype=np.float64)
-        h = int(round(np.sqrt(covs.shape[1])))
-        return cls(d["weights"], d["means"], covs.reshape(k, h, h),
-                   reg=d.get("reg", 0.0), log_transform=d.get("log_transform", False))
+        if type(k) is not int or k < 1:
+            raise DataFormatError(f"mixture k must be a positive integer, got {k!r}")
+        try:
+            weights = np.asarray(d["weights"], dtype=np.float64)
+            means = np.asarray(d["means"], dtype=np.float64)
+            covs = np.asarray(d["covariances"], dtype=np.float64)
+            reg = float(d.get("reg", 0.0))
+        except (TypeError, ValueError) as e:
+            raise DataFormatError(f"mixture file holds a non-numeric field: {e}") from e
+        log_transform = d.get("log_transform", False)
+        if not isinstance(log_transform, bool):
+            raise DataFormatError(f"mixture log_transform must be true or false, "
+                                  f"got {log_transform!r}")
+        h = means.shape[1] if means.ndim == 2 else 0
+        if h < 1 or weights.shape != (k,) or means.shape[0] != k or covs.shape != (k, h * h):
+            raise DataFormatError(f"mixture file needs k={k} weights, {k} means of one "
+                                  f"length H and {k} rows of H*H covariance entries")
+        return cls(weights, means, covs.reshape(k, h, h), reg=reg,
+                   log_transform=log_transform)
 
     @classmethod
     def load(cls, path) -> "GaussianMixture":

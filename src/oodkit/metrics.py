@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import FeatureMatrix
 from .errors import ConfigError, DimensionError, NumericalError
@@ -24,11 +23,14 @@ def auroc(scores_in, scores_out) -> float:
     s_out = np.asarray(scores_out, dtype=np.float64)
     if s_in.size == 0 or s_out.size == 0:
         raise ConfigError("both score sets must be nonempty")
-    ranks = rankdata(np.concatenate([s_in, s_out]))
-    r_out = ranks[s_in.size:].sum()
-    n_out = s_out.size
-    u = r_out - n_out * (n_out + 1) / 2.0
-    return float(u / (s_in.size * n_out))
+    if np.isnan(s_in).any() or np.isnan(s_out).any():
+        return float("nan")
+    # Mann-Whitney U of the out-scores: per out-score, the in-scores below it
+    # plus half of those equal to it.
+    sorted_in = np.sort(s_in)
+    u = (np.searchsorted(sorted_in, s_out, "left")
+         + np.searchsorted(sorted_in, s_out, "right")).sum() / 2
+    return float(u / (s_in.size * s_out.size))
 
 
 @dataclass(frozen=True)

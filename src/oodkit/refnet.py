@@ -1,9 +1,11 @@
-"""Desk-scale reference networks and synthetic tasks.
+"""Desk-scale reference networks, synthetic tasks and the experiments run
+on them.
 
 A small from-scratch MLP trainer (mini-batch SGD, seeded, deterministic)
-with optional frozen softmax head, plus the synthetic data generators used
-by the counterfactual and depth experiments: Gaussian blobs, ring / annulus
-OOD, uniform hypercube OOD, and a binary-grid prototype task.
+with optional frozen softmax head, the synthetic data generators (Gaussian
+blobs, ring / annulus OOD, uniform hypercube OOD, and a binary-grid
+prototype task), and the frozen-head counterfactual and depth experiments
+built from them.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import FeatureMatrix, LabelVector, SoftmaxHead, softmax_from_logits
-from .errors import ConfigError, DimensionError, NumericalError
+from . import structure
+from .core import FeatureMatrix, LabelVector, SoftmaxHead, _entropy_rows, softmax_from_logits
+from .errors import ConfigError, DataFormatError, DimensionError, NumericalError
 from .metrics import auroc
 
 __all__ = [
@@ -26,6 +29,8 @@ __all__ = [
     "train",
     "confidence_sweep",
     "depth_study",
+    "run_counterfactual",
+    "run_depth_study",
     "TASK_KINDS",
 ]
 
@@ -340,12 +345,29 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
+        """Rebuild a saved model; a payload with a missing key, a non-integer
+        k, a non-boolean flag, or a field that is non-numeric or of the wrong
+        shape raises DataFormatError."""
+        if not isinstance(d, dict):
+            raise DataFormatError("model file must hold a JSON object")
         if d.get("format_version") != cls.FORMAT_VERSION:
             raise ConfigError("unsupported model format version")
-        spec = MlpSpec(tuple(d["layer_widths"]), d["activation"], d["k"],
-                       d.get("linear_features", False))
-        return cls(spec, d["weights"], d["biases"], d["head_w"], d["head_b"],
-                   head_frozen=d.get("head_frozen", False))
+        missing = [key for key in ("layer_widths", "activation", "k", "weights", "biases",
+                                   "head_w", "head_b") if key not in d]
+        if missing:
+            raise DataFormatError(f"model file lacks required keys {missing}")
+        if type(d["k"]) is not int:
+            raise DataFormatError(f"model k must be an integer, got {d['k']!r}")
+        flags = {key: d.get(key, False) for key in ("linear_features", "head_frozen")}
+        if not all(isinstance(v, bool) for v in flags.values()):
+            raise DataFormatError(f"model flags must be true or false, got {flags}")
+        try:
+            spec = MlpSpec(tuple(d["layer_widths"]), d["activation"], d["k"],
+                           flags["linear_features"])
+            return cls(spec, d["weights"], d["biases"], d["head_w"], d["head_b"],
+                       head_frozen=flags["head_frozen"])
+        except (TypeError, ValueError, DimensionError) as e:
+            raise DataFormatError(f"model file holds a malformed field: {e}") from e
 
     @classmethod
     def load(cls, path) -> "MlpModel":
@@ -446,10 +468,7 @@ def confidence_sweep(model: MlpModel, sampler: SyntheticTask, n_samples: int,
 
 
 def _entropy_scores(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    p = model.predict_proba(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p), 0.0)
-    return -terms.sum(axis=1)
+    return _entropy_rows(model.predict_proba(x))
 
 
 def depth_study(train_data, test_data, ood_features: FeatureMatrix,
@@ -488,3 +507,85 @@ def depth_study(train_data, test_data, ood_features: FeatureMatrix,
             "auroc_stderr": float(aurocs.std(ddof=1) / np.sqrt(ns)) if ns > 1 else 0.0,
         })
     return rows
+
+
+def _counterfactual_frozen_head(kind: str, h: int, seed: int, c1: float = 2.0):
+    if kind == "optimal":
+        return structure.gen_optimal_head(
+            structure.OptimalStructureSpec(k=3, h=h, c1=c1), seed=seed)
+    if kind == "trainable":
+        return None
+    return structure.gen_counterfactual_head(kind, k=3, h=h, seed=seed)
+
+
+def run_counterfactual(structures, seeds, h=2, width=16, epochs=50, activation="tanh",
+                       learning_rate=0.05, weight_decay=1e-4, c1=2.0,
+                       n_per_class=200, separation=6.0, ood_radius_factor=1.6,
+                       n_ood=600) -> dict:
+    """Frozen-head counterfactual experiment on 3-class blobs vs ring OOD.
+
+    For each head structure and seed: train with the head frozen (or fully
+    trainable), record test accuracy, softmax-entropy AUROC against an
+    annulus just outside the blobs, and the regularized cross-entropy of the
+    final head on training features.
+    """
+    results = {}
+    for kind in structures:
+        accs, aurocs, xents = [], [], []
+        for seed in seeds:
+            task = SyntheticTask("gaussian_blobs", {
+                "k": 3, "dim": 2, "n_per_class": n_per_class,
+                "separation": separation, "seed": seed})
+            train_x, train_y = generate(task)
+            test_x, test_y = generate(task.with_params(seed=seed + 1000))
+            # Circumradius of the class means; the annulus sits just outside.
+            mean_radius = separation / (2.0 * np.sin(np.pi / 3))
+            ring, _ = generate(SyntheticTask("ring_ood", {
+                "n": n_ood, "dim": 2, "radius": ood_radius_factor * mean_radius,
+                "width": 2.0, "seed": seed + 2000}))
+            frozen = _counterfactual_frozen_head(kind, h, seed, c1=c1)
+            spec = MlpSpec((2, width, h), activation, 3)
+            tc = TrainConfig(epochs=epochs, batch_size=64, learning_rate=learning_rate,
+                             weight_decay=weight_decay, seed=seed, frozen_head=frozen)
+            model = train((train_x, train_y), spec, tc)
+            accs.append(model.accuracy(test_x, test_y))
+            s_in = _entropy_scores(model, test_x.data)
+            s_out = _entropy_scores(model, ring.data)
+            aurocs.append(auroc(s_in, s_out))
+            feats = FeatureMatrix(model.features(train_x.data))
+            xents.append(structure.regularized_xent(feats, train_y, model.head(),
+                                                    lambda1=weight_decay))
+        accs, aurocs, xents = np.array(accs), np.array(aurocs), np.array(xents)
+        n = len(seeds)
+        se = (lambda a: float(a.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
+        results[kind] = {
+            "accuracy_per_seed": accs.tolist(),
+            "auroc_per_seed": aurocs.tolist(),
+            "regularized_xent_per_seed": xents.tolist(),
+            "accuracy_mean": float(accs.mean()), "accuracy_stderr": se(accs),
+            "auroc_mean": float(aurocs.mean()), "auroc_stderr": se(aurocs),
+            "regularized_xent_mean": float(xents.mean()),
+            "regularized_xent_stderr": se(xents),
+        }
+    order = sorted(results, key=lambda k: -results[k]["auroc_mean"])
+    return {"structures": results, "auroc_order": order}
+
+
+def run_depth_study(depths, seeds, width=16, activation="tanh", epochs=30,
+                    learning_rate=0.05, batch_size=64, n_per_class=200,
+                    dim=4, separation=6.0, n_ood=600) -> list:
+    """Depth comparison on blobs with nuisance dimensions: class signal in
+    the first two coordinates, pure noise in the rest, ring OOD in-plane."""
+    task = SyntheticTask("gaussian_blobs", {
+        "k": 3, "dim": dim, "n_per_class": n_per_class,
+        "separation": separation, "seed": 42})
+    train_x, train_y = generate(task)
+    test_x, test_y = generate(task.with_params(seed=1042))
+    blob_extent = float(np.linalg.norm(train_x.data, axis=1).max())
+    ood, _ = generate(SyntheticTask("ring_ood", {
+        "n": n_ood, "dim": dim, "radius": 1.5 * blob_extent, "width": 2.0,
+        "seed": 2042}))
+    tc = TrainConfig(epochs=epochs, batch_size=batch_size,
+                     learning_rate=learning_rate, seed=0)
+    return depth_study((train_x, train_y), (test_x, test_y), ood,
+                       depths, width, tc, seeds, activation=activation)

@@ -89,6 +89,8 @@ def gen_counterfactual_head(kind: str, k: int = 3, h: int = 2, seed: int = 0,
         raise ConfigError("counterfactual heads need h >= 2")
     if kind not in COUNTERFACTUAL_KINDS:
         raise ConfigError(f"unknown counterfactual kind {kind!r}")
+    if c <= 0:
+        raise ConfigError("c must be > 0")
     w2d = np.zeros((2, 3))
     b = np.zeros(3)
     if kind == "sandwich":

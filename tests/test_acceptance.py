@@ -37,13 +37,13 @@ from oodkit.geometry import (
 )
 from oodkit.gmm import EmConfig, GaussianMixture, fit_em
 from oodkit.metrics import attribute, auroc
+from oodkit.refnet import run_counterfactual, run_depth_study
 from oodkit.structure import (
     OptimalStructureSpec,
     gen_counterfactual_head,
     gen_optimal_head,
     synthesize_cluster_features,
 )
-from oodkit.cli import run_counterfactual, run_depth_study
 
 
 def _report(name, detail):

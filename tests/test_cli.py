@@ -6,6 +6,7 @@ import pytest
 
 from oodkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from oodkit.core import FeatureMatrix, LabelVector, save_features
+from oodkit.refnet import MlpModel, MlpSpec
 from oodkit.structure import OptimalStructureSpec, gen_optimal_head, synthesize_cluster_features
 
 
@@ -139,6 +140,49 @@ class TestAttribute:
                     "--row", "0.9,0.9") == EXIT_CONFIG
 
 
+_MIXTURE = {"format_version": 1, "k": 1, "weights": [1.0], "means": [[0.0, 0.0]],
+            "covariances": [[1.0, 0.0, 0.0, 1.0]]}
+
+_BAD_MIXTURES = {
+    **{key: {k: v for k, v in _MIXTURE.items() if k != key}
+       for key in ("k", "weights", "means", "covariances")},
+    "not-an-object": [_MIXTURE],
+    "k-not-int": {**_MIXTURE, "k": "a"},
+    "covariance-count": {**_MIXTURE, "covariances": [[1.0, 0.0, 1.0]]},
+    "scalar-covariance": {**_MIXTURE, "covariances": [1.0]},
+    "non-numeric": {**_MIXTURE, "means": [["a", 0.0]]},
+    "log-transform-string": {**_MIXTURE, "log_transform": "false"},
+}
+
+_MODEL = MlpModel.init(MlpSpec((2, 4), "relu", 3)).to_dict()
+
+_BAD_MODELS = {
+    "not-an-object": [_MODEL],
+    "missing-key": {k: v for k, v in _MODEL.items() if k != "head_w"},
+    "k-not-int": {**_MODEL, "k": "3"},
+    "non-numeric": {**_MODEL, "head_b": ["a", 0.0, 0.0]},
+    "layer-shape": {**_MODEL, "weights": [[[1.0, 0.0, 0.0]] * 2]},
+    "flag-string": {**_MODEL, "linear_features": "false"},
+}
+
+# (verb, config file payload or None, flags): each is a configuration error
+_BAD_CONFIGS = {
+    "int-from-string": ("gen-head", {"k": "abc"}, []),
+    "int-from-float": ("gen-head", {"k": 3.7}, []),
+    "float-overflow": ("gen-head", {"c1": 10 ** 400}, []),
+    "bool-from-string": ("fit-gmm", {"log_transform": "false"}, []),
+    "seeds-number": ("counterfactual", {"seeds": 5}, []),
+    "rows-number": ("attribute", {"rows": 5}, []),
+    "structures-number": ("counterfactual", {"structures": 5}, []),
+    "choice": ("fit-gmm", {"init": "random"}, []),
+    "null-for-required": ("pca", {"dims": None}, []),
+    "config-list": ("gen-head", [{"k": 3}], []),
+    "task-params-flag": ("train-toy", None, ["--task-params", "{not json"]),
+    "task-params-list": ("train-toy", {"task_params": "[1, 2]"}, []),
+    "negative-c": ("gen-head", None, ["--kind", "sandwich", "--c", "-1"]),
+}
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -173,19 +217,31 @@ class TestExitCodes:
         assert _run("audit-head", "--outdir", str(tmp_path),
                     "--head", str(tmp_path / "head.csv")) == EXIT_IO
 
-    @pytest.mark.parametrize("key", ["k", "weights", "means", "covariances"])
-    def test_mixture_file_missing_key(self, tmp_path, key):
+    @pytest.mark.parametrize("case", list(_BAD_MIXTURES))
+    def test_mixture_file_missing_key(self, tmp_path, case):
         head = _write_cluster_features(tmp_path / "f.csv", h=2)
         from oodkit.core import save_head
         save_head(tmp_path / "head.csv", head)
-        mixture = {"format_version": 1, "k": 1, "weights": [1.0], "means": [[0.0, 0.0]],
-                   "covariances": [[1.0, 0.0, 0.0, 1.0]]}
-        del mixture[key]
-        (tmp_path / "gmm.json").write_text(json.dumps(mixture))
+        (tmp_path / "gmm.json").write_text(json.dumps(_BAD_MIXTURES[case]))
         assert _run("score", "--outdir", str(tmp_path),
                     "--features", str(tmp_path / "f.csv"),
                     "--head", str(tmp_path / "head.csv"),
                     "--gmm", str(tmp_path / "gmm.json")) == EXIT_IO
+
+    @pytest.mark.parametrize("case", list(_BAD_MODELS))
+    def test_malformed_model_file(self, tmp_path, case):
+        (tmp_path / "model.json").write_text(json.dumps(_BAD_MODELS[case]))
+        assert _run("sweep", "--outdir", str(tmp_path),
+                    "--model", str(tmp_path / "model.json")) == EXIT_IO
+
+    @pytest.mark.parametrize("case", list(_BAD_CONFIGS))
+    def test_mistyped_config_is_config_error(self, tmp_path, capsys, case):
+        verb, payload, flags = _BAD_CONFIGS[case]
+        if payload is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(payload))
+            flags = flags + ["--config", str(tmp_path / "cfg.json")]
+        assert _run(verb, "--outdir", str(tmp_path / "out"), *flags) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestTrainToyAndSweep:
@@ -241,6 +297,17 @@ class TestReproducibility:
                         "--head", str(tmp_path / "head.csv"),
                         "--out", "scores.csv") == EXIT_OK
         assert (out_a / "scores.csv").read_bytes() == (out_b / "scores.csv").read_bytes()
+
+    def test_list_keys_take_json_list_or_comma_string(self, tmp_path):
+        assert _run("attribute", "--outdir", str(tmp_path / "flags"),
+                    "--row", "0.9,0.92,0.95,0.99", "--row", "0.8,0.85,0.9,0.95") == EXIT_OK
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"rows": [[0.9, 0.92, 0.95, 0.99],
+                                                "0.8,0.85,0.9,0.95"]}))
+        assert _run("attribute", "--outdir", str(tmp_path / "file"),
+                    "--config", str(cfgfile)) == EXIT_OK
+        assert ((tmp_path / "flags" / "attribution.json").read_bytes()
+                == (tmp_path / "file" / "attribution.json").read_bytes())
 
     def test_effective_config_round_trips(self, tmp_path):
         assert _run("gen-head", "--outdir", str(tmp_path / "a"),

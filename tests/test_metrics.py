@@ -59,6 +59,10 @@ class TestAuroc:
         with pytest.raises(ConfigError):
             auroc([], [1.0])
 
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auroc([np.nan, 1.0], [2.0]))
+        assert np.isnan(auroc([1.0], [2.0, np.nan]))
+
 
 class TestAttribution:
     def test_pinned_decomposition(self):

@@ -106,6 +106,8 @@ class TestCounterfactualHeads:
             gen_counterfactual_head("sandwich", k=4)
         with pytest.raises(ConfigError):
             gen_counterfactual_head("sandwich", h=1)
+        with pytest.raises(ConfigError):
+            gen_counterfactual_head("sandwich", c=-1.0)
 
 
 class TestAudit:
