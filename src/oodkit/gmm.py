@@ -153,7 +153,9 @@ class GaussianMixture:
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianMixture":
         """Rebuild a saved mixture; a payload that does not have the saved
-        layout (K rows of H*H covariance entries) raises DataFormatError."""
+        layout (K rows of H*H covariance entries), or whose values are not
+        finite or do not form a valid mixture (weights off the simplex,
+        covariances not symmetric positive definite), raises DataFormatError."""
         if not isinstance(d, dict):
             raise DataFormatError("mixture file must hold a JSON object")
         if d.get("format_version") != cls.FORMAT_VERSION:
@@ -179,8 +181,13 @@ class GaussianMixture:
         if h < 1 or weights.shape != (k,) or means.shape[0] != k or covs.shape != (k, h * h):
             raise DataFormatError(f"mixture file needs k={k} weights, {k} means of one "
                                   f"length H and {k} rows of H*H covariance entries")
-        return cls(weights, means, covs.reshape(k, h, h), reg=reg,
-                   log_transform=log_transform)
+        if not all(np.isfinite(a).all() for a in (weights, means, covs, reg)):
+            raise DataFormatError("mixture file holds a non-finite value")
+        try:
+            return cls(weights, means, covs.reshape(k, h, h), reg=reg,
+                       log_transform=log_transform)
+        except (ConfigError, SingularModelError) as e:
+            raise DataFormatError(f"mixture file holds invalid parameters: {e}") from e
 
     @classmethod
     def load(cls, path) -> "GaussianMixture":
@@ -188,12 +195,21 @@ class GaussianMixture:
             return cls.from_dict(json.load(f))
 
 
+def _nearest_center(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # One N-vector of squared distances per centre: memory stays linear in N.
+    d2 = np.empty((x.shape[0], centers.shape[0]))
+    for i, c in enumerate(centers):
+        d2[:, i] = ((x - c) ** 2).sum(axis=1)
+    return np.argmin(d2, axis=1)
+
+
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator,
                     n_iter: int = 10) -> np.ndarray:
     n = x.shape[0]
     centers = [x[rng.integers(n)]]
+    d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
     for _ in range(k - 1):
-        d2 = np.min([((x - c) ** 2).sum(axis=1) for c in centers], axis=0)
+        d2 = np.minimum(d2, ((x - centers[-1]) ** 2).sum(axis=1))
         total = d2.sum()
         if total <= 0:
             centers.append(x[rng.integers(n)])
@@ -201,11 +217,11 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator,
         centers.append(x[rng.choice(n, p=d2 / total)])
     centers = np.array(centers)
     for _ in range(n_iter):
-        assign = np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
+        assign = _nearest_center(x, centers)
         for i in range(k):
             if np.any(assign == i):
                 centers[i] = x[assign == i].mean(axis=0)
-    return np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
+    return _nearest_center(x, centers)
 
 
 def _moment_match(x, assign, k, reg, h):

@@ -27,6 +27,7 @@ __all__ = [
     "MlpModel",
     "generate",
     "train",
+    "train_stack",
     "confidence_sweep",
     "depth_study",
     "run_counterfactual",
@@ -249,24 +250,11 @@ class MlpModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _act(self, a: np.ndarray) -> np.ndarray:
-        return np.maximum(a, 0.0) if self.spec.activation == "relu" else np.tanh(a)
-
-    def _forward(self, x: np.ndarray):
-        acts = [x]
-        a = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = a @ w + b
-            a = pre if (i == last and self.spec.linear_features) else self._act(pre)
-            acts.append(a)
-        return acts  # acts[-1] is the final-layer z
-
     def features(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.spec.d:
             raise DimensionError(f"expected {self.spec.d} input dims, got {x.shape[1]}")
-        return self._forward(x)[-1]
+        return _forward(self.spec, self.weights, self.biases, x)[-1]
 
     def logits(self, x) -> np.ndarray:
         return self.features(x) @ self.head_w + self.head_b
@@ -287,41 +275,19 @@ class MlpModel:
     # -- loss / gradients ----------------------------------------------------
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray, weight_decay: float = 0.0):
-        """Cross-entropy (+ head penalty) and gradients for every parameter.
+        """Cross-entropy (+ head penalty) and gradients for every parameter:
+        a one-model call of the training kernel.
 
         Returns (loss, grads dict with 'weights', 'biases', 'head_w', 'head_b').
         """
-        n = x.shape[0]
-        acts = self._forward(x)
-        z = acts[-1]
-        p = softmax_from_logits(z @ self.head_w + self.head_b)
-        picked = np.clip(p[np.arange(n), y], 1e-300, None)
-        loss = float(-np.log(picked).mean())
-        loss += weight_decay * float((self.head_w ** 2).sum() + (self.head_b ** 2).sum())
-
-        dlogits = p.copy()
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
-        g_head_w = z.T @ dlogits + 2.0 * weight_decay * self.head_w
-        g_head_b = dlogits.sum(axis=0) + 2.0 * weight_decay * self.head_b
-
-        da = dlogits @ self.head_w.T
-        g_w = [None] * len(self.weights)
-        g_b = [None] * len(self.biases)
-        last = len(self.weights) - 1
-        for i in range(last, -1, -1):
-            a_out = acts[i + 1]
-            if i == last and self.spec.linear_features:
-                dpre = da
-            elif self.spec.activation == "relu":
-                dpre = da * (a_out > 0.0)
-            else:
-                dpre = da * (1.0 - a_out ** 2)
-            g_w[i] = acts[i].T @ dpre
-            g_b[i] = dpre.sum(axis=0)
-            da = dpre @ self.weights[i].T
-        return loss, {"weights": g_w, "biases": g_b,
-                      "head_w": g_head_w, "head_b": g_head_b}
+        loss, grads = _loss_and_grads(
+            self.spec, [w[None] for w in self.weights], [b[None, None] for b in self.biases],
+            self.head_w[None], self.head_b[None, None], np.asarray(x)[None],
+            np.asarray(y)[None], weight_decay)
+        return float(loss[0]), {"weights": [g[0] for g in grads["weights"]],
+                                "biases": [g[0, 0] for g in grads["biases"]],
+                                "head_w": grads["head_w"][0],
+                                "head_b": grads["head_b"][0, 0]}
 
     # -- persistence ---------------------------------------------------------
 
@@ -375,41 +341,136 @@ class MlpModel:
             return cls.from_dict(json.load(f))
 
 
+def _forward(spec: MlpSpec, weights, biases, x: np.ndarray) -> list:
+    """Activations of every layer, input first and final-layer z last.
+
+    Takes one model's arrays, or a stack of models whose arrays all carry a
+    leading model axis (biases then shaped S x 1 x width).
+    """
+    acts = [x]
+    a = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        a = a @ w + b
+        if i < last or not spec.linear_features:
+            a = np.maximum(a, 0.0) if spec.activation == "relu" else np.tanh(a)
+        acts.append(a)
+    return acts
+
+
+def _loss_and_grads(spec: MlpSpec, weights, biases, head_w, head_b, x, y,
+                    weight_decay: float):
+    """Cross-entropy (+ weight_decay * head penalty) and the gradient of every
+    parameter, for a stack of S models of one spec.
+
+    Every array carries a leading model axis: x is S x n x D, y is S x n,
+    weights[i] S x W_i x W_{i+1}, biases[i] S x 1 x W_{i+1}, head_w S x H x K
+    and head_b S x 1 x K. numpy's stacked matmul makes, for each model, the
+    BLAS call that the 2-D product would make, and every reduction runs
+    within one model, so each model's bits do not depend on the rest of the
+    stack. Returns (S losses, grads dict with 'weights', 'biases', 'head_w',
+    'head_b', shaped like the parameters).
+    """
+    s, n = y.shape
+    acts = _forward(spec, weights, biases, x)
+    z = acts[-1]
+    dlogits = softmax_from_logits(z @ head_w + head_b)
+    picked = (np.arange(s)[:, None], np.arange(n), y)
+    loss = -np.log(np.clip(dlogits[picked], 1e-300, None)).mean(axis=1)
+    loss += weight_decay * ((head_w ** 2).sum(axis=(1, 2)) + (head_b ** 2).sum(axis=(1, 2)))
+
+    dlogits[picked] -= 1.0
+    dlogits /= n
+    g_head_w = z.swapaxes(1, 2) @ dlogits + 2.0 * weight_decay * head_w
+    g_head_b = dlogits.sum(axis=1, keepdims=True) + 2.0 * weight_decay * head_b
+
+    da = dlogits @ head_w.swapaxes(1, 2)
+    g_w = [None] * len(weights)
+    g_b = [None] * len(biases)
+    last = len(weights) - 1
+    for i in range(last, -1, -1):
+        a_out = acts[i + 1]
+        if i == last and spec.linear_features:
+            dpre = da
+        elif spec.activation == "relu":
+            dpre = da * (a_out > 0.0)
+        else:
+            dpre = da * (1.0 - a_out ** 2)
+        g_w[i] = acts[i].swapaxes(1, 2) @ dpre
+        g_b[i] = dpre.sum(axis=1, keepdims=True)
+        if i:
+            da = dpre @ weights[i].swapaxes(1, 2)
+    return loss, {"weights": g_w, "biases": g_b, "head_w": g_head_w, "head_b": g_head_b}
+
+
+def train_stack(datasets, spec: MlpSpec, cfgs) -> list:
+    """Train one model per (dataset, config) pair, all in lockstep.
+
+    Each model gets its own ``MlpModel.init(cfg.seed)`` parameters, its own
+    minibatch order (drawn from ``default_rng(cfg.seed + 1)``), its own data
+    and its own frozen head or none; every step is one forward/backward pass
+    and one update of the whole stack. The result is bitwise the one of
+    training each model alone with ``train``. All pairs must share n, epochs,
+    batch size, learning rate and weight decay. Raises NumericalError as
+    soon as any model's loss is not finite.
+    """
+    if len(cfgs) == 0 or len(datasets) != len(cfgs):
+        raise ConfigError("a training stack needs one dataset per config and at least one")
+    for features, labels in datasets:
+        if labels is None:
+            raise ConfigError("training requires labels")
+        if labels.n != features.n:
+            raise DimensionError("label count does not match input count")
+        if features.h != spec.d:
+            raise DimensionError("input dimension does not match spec")
+        if labels.k > spec.k:
+            raise ConfigError("label range exceeds spec classes")
+    schedules = {(c.epochs, c.batch_size, c.learning_rate, c.weight_decay) for c in cfgs}
+    sizes = {features.n for features, _ in datasets}
+    if len(schedules) > 1 or len(sizes) > 1:
+        raise ConfigError("models trained in one stack must share n, epochs, batch size, "
+                          "learning rate and weight decay")
+
+    models = [MlpModel.init(spec, seed=c.seed, frozen_head=c.frozen_head) for c in cfgs]
+    rngs = [np.random.default_rng(c.seed + 1) for c in cfgs]
+    x = np.stack([features.data for features, _ in datasets])
+    y = np.stack([labels.labels for _, labels in datasets])
+    weights = [np.stack(w) for w in zip(*(m.weights for m in models))]
+    biases = [np.stack(b)[:, None] for b in zip(*(m.biases for m in models))]
+    head_w = np.stack([m.head_w for m in models])
+    head_b = np.stack([m.head_b for m in models])[:, None]
+    trainable = np.array([not m.head_frozen for m in models])
+    stack = np.arange(len(models))[:, None]
+    n = sizes.pop()
+    cfg = cfgs[0]
+    lr = cfg.learning_rate
+    for _ in range(cfg.epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        for start in range(0, n, cfg.batch_size):
+            idx = order[:, start:start + cfg.batch_size]
+            loss, grads = _loss_and_grads(spec, weights, biases, head_w, head_b,
+                                          x[stack, idx], y[stack, idx], cfg.weight_decay)
+            if not np.isfinite(loss).all():
+                raise NumericalError("training diverged: non-finite loss")
+            for w, g in zip(weights, grads["weights"]):
+                w -= lr * g
+            for b, g in zip(biases, grads["biases"]):
+                b -= lr * g
+            head_w[trainable] -= lr * grads["head_w"][trainable]
+            head_b[trainable] -= lr * grads["head_b"][trainable]
+    return [MlpModel(spec, [w[i] for w in weights], [b[i, 0] for b in biases],
+                     head_w[i], head_b[i, 0], head_frozen=not trainable[i])
+            for i in range(len(models))]
+
+
 def train(dataset, spec: MlpSpec, cfg: TrainConfig) -> MlpModel:
     """Mini-batch SGD on cross-entropy + weight_decay * head penalty.
 
     ``dataset`` is (FeatureMatrix of inputs, LabelVector). Deterministic for
-    a given cfg.seed. Raises on divergence (non-finite loss).
+    a given cfg.seed. Raises on divergence (non-finite loss). A one-model
+    ``train_stack``.
     """
-    features, labels = dataset
-    if labels is None:
-        raise ConfigError("training requires labels")
-    if labels.n != features.n:
-        raise DimensionError("label count does not match input count")
-    if features.h != spec.d:
-        raise DimensionError("input dimension does not match spec")
-    if labels.k > spec.k:
-        raise ConfigError("label range exceeds spec classes")
-
-    model = MlpModel.init(spec, seed=cfg.seed, frozen_head=cfg.frozen_head)
-    rng = np.random.default_rng(cfg.seed + 1)
-    x, y = features.data, labels.labels
-    n = features.n
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, grads = model.loss_and_grads(x[idx], y[idx], cfg.weight_decay)
-            if not np.isfinite(loss):
-                raise NumericalError("training diverged: non-finite loss")
-            lr = cfg.learning_rate
-            for i in range(len(model.weights)):
-                model.weights[i] -= lr * grads["weights"][i]
-                model.biases[i] -= lr * grads["biases"][i]
-            if not model.head_frozen:
-                model.head_w -= lr * grads["head_w"]
-                model.head_b -= lr * grads["head_b"]
-    return model
+    return train_stack([dataset], spec, [cfg])[0]
 
 
 class SweepState:
@@ -471,40 +532,44 @@ def _entropy_scores(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _entropy_rows(model.predict_proba(x))
 
 
+def _stderr(values: np.ndarray) -> float:
+    n = len(values)
+    return float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
 def depth_study(train_data, test_data, ood_features: FeatureMatrix,
                 depths, width: int, cfg: TrainConfig, seeds,
                 activation: str = "relu", k: int | None = None):
-    """One model per (depth, seed); reports in-distribution test accuracy and
-    softmax-entropy AUROC against the OOD set, with mean and standard error
-    over seeds.
+    """One model per (depth, seed), the seeds of one depth trained as one
+    stack; reports in-distribution test accuracy and softmax-entropy AUROC
+    against the OOD set, with mean and standard error over seeds.
 
     Returns a list of row dicts ordered by depth.
     """
     train_x, train_y = train_data
     if k is None:
         k = train_y.k
+    if len(seeds) == 0:
+        raise ConfigError("depth study needs at least one seed")
+    if any(depth < 1 for depth in depths):
+        raise ConfigError("depth must be >= 1")
     rows = []
     for depth in depths:
-        if depth < 1:
-            raise ConfigError("depth must be >= 1")
-        accs, aurocs = [], []
-        for seed in seeds:
-            spec = MlpSpec((train_x.h,) + (width,) * depth, activation, k)
-            model = train((train_x, train_y), spec, replace(cfg, seed=int(seed)))
-            accs.append(model.accuracy(*test_data))
-            s_in = _entropy_scores(model, test_data[0].data)
-            s_out = _entropy_scores(model, ood_features.data)
-            aurocs.append(auroc(s_in, s_out))
-        accs, aurocs = np.array(accs), np.array(aurocs)
-        ns = max(len(seeds), 1)
+        spec = MlpSpec((train_x.h,) + (width,) * depth, activation, k)
+        models = train_stack([(train_x, train_y)] * len(seeds), spec,
+                             [replace(cfg, seed=int(seed)) for seed in seeds])
+        accs = np.array([model.accuracy(*test_data) for model in models])
+        aurocs = np.array([auroc(_entropy_scores(model, test_data[0].data),
+                                 _entropy_scores(model, ood_features.data))
+                           for model in models])
         rows.append({
             "depth": int(depth),
             "accuracy_per_seed": accs.tolist(),
             "auroc_per_seed": aurocs.tolist(),
             "accuracy_mean": float(accs.mean()),
-            "accuracy_stderr": float(accs.std(ddof=1) / np.sqrt(ns)) if ns > 1 else 0.0,
+            "accuracy_stderr": _stderr(accs),
             "auroc_mean": float(aurocs.mean()),
-            "auroc_stderr": float(aurocs.std(ddof=1) / np.sqrt(ns)) if ns > 1 else 0.0,
+            "auroc_stderr": _stderr(aurocs),
         })
     return rows
 
@@ -527,27 +592,34 @@ def run_counterfactual(structures, seeds, h=2, width=16, epochs=50, activation="
     For each head structure and seed: train with the head frozen (or fully
     trainable), record test accuracy, softmax-entropy AUROC against an
     annulus just outside the blobs, and the regularized cross-entropy of the
-    final head on training features.
+    final head on training features. All structures x seeds train as one
+    stack.
     """
+    if len(structures) == 0 or len(seeds) == 0:
+        raise ConfigError("counterfactual needs at least one structure and one seed")
+    # Circumradius of the class means; the annulus sits just outside.
+    mean_radius = separation / (2.0 * np.sin(np.pi / 3))
+    data = []  # (train, test, ring) per position in seeds
+    for seed in seeds:
+        task = SyntheticTask("gaussian_blobs", {
+            "k": 3, "dim": 2, "n_per_class": n_per_class,
+            "separation": separation, "seed": seed})
+        ring, _ = generate(SyntheticTask("ring_ood", {
+            "n": n_ood, "dim": 2, "radius": ood_radius_factor * mean_radius,
+            "width": 2.0, "seed": seed + 2000}))
+        data.append((generate(task), generate(task.with_params(seed=seed + 1000)), ring))
+    spec = MlpSpec((2, width, h), activation, 3)
+    cfgs = [TrainConfig(epochs=epochs, batch_size=64, learning_rate=learning_rate,
+                        weight_decay=weight_decay, seed=seed,
+                        frozen_head=_counterfactual_frozen_head(kind, h, seed, c1=c1))
+            for kind in structures for seed in seeds]
+    models = iter(train_stack([train for train, _, _ in data] * len(structures), spec, cfgs))
+
     results = {}
     for kind in structures:
         accs, aurocs, xents = [], [], []
-        for seed in seeds:
-            task = SyntheticTask("gaussian_blobs", {
-                "k": 3, "dim": 2, "n_per_class": n_per_class,
-                "separation": separation, "seed": seed})
-            train_x, train_y = generate(task)
-            test_x, test_y = generate(task.with_params(seed=seed + 1000))
-            # Circumradius of the class means; the annulus sits just outside.
-            mean_radius = separation / (2.0 * np.sin(np.pi / 3))
-            ring, _ = generate(SyntheticTask("ring_ood", {
-                "n": n_ood, "dim": 2, "radius": ood_radius_factor * mean_radius,
-                "width": 2.0, "seed": seed + 2000}))
-            frozen = _counterfactual_frozen_head(kind, h, seed, c1=c1)
-            spec = MlpSpec((2, width, h), activation, 3)
-            tc = TrainConfig(epochs=epochs, batch_size=64, learning_rate=learning_rate,
-                             weight_decay=weight_decay, seed=seed, frozen_head=frozen)
-            model = train((train_x, train_y), spec, tc)
+        for (train_x, train_y), (test_x, test_y), ring in data:
+            model = next(models)
             accs.append(model.accuracy(test_x, test_y))
             s_in = _entropy_scores(model, test_x.data)
             s_out = _entropy_scores(model, ring.data)
@@ -556,16 +628,14 @@ def run_counterfactual(structures, seeds, h=2, width=16, epochs=50, activation="
             xents.append(structure.regularized_xent(feats, train_y, model.head(),
                                                     lambda1=weight_decay))
         accs, aurocs, xents = np.array(accs), np.array(aurocs), np.array(xents)
-        n = len(seeds)
-        se = (lambda a: float(a.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
         results[kind] = {
             "accuracy_per_seed": accs.tolist(),
             "auroc_per_seed": aurocs.tolist(),
             "regularized_xent_per_seed": xents.tolist(),
-            "accuracy_mean": float(accs.mean()), "accuracy_stderr": se(accs),
-            "auroc_mean": float(aurocs.mean()), "auroc_stderr": se(aurocs),
+            "accuracy_mean": float(accs.mean()), "accuracy_stderr": _stderr(accs),
+            "auroc_mean": float(aurocs.mean()), "auroc_stderr": _stderr(aurocs),
             "regularized_xent_mean": float(xents.mean()),
-            "regularized_xent_stderr": se(xents),
+            "regularized_xent_stderr": _stderr(xents),
         }
     order = sorted(results, key=lambda k: -results[k]["auroc_mean"])
     return {"structures": results, "auroc_order": order}

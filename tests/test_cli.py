@@ -152,6 +152,10 @@ _BAD_MIXTURES = {
     "scalar-covariance": {**_MIXTURE, "covariances": [1.0]},
     "non-numeric": {**_MIXTURE, "means": [["a", 0.0]]},
     "log-transform-string": {**_MIXTURE, "log_transform": "false"},
+    "weights-off-simplex": {**_MIXTURE, "weights": [0.5]},
+    "asymmetric-covariance": {**_MIXTURE, "covariances": [[1.0, 0.5, 0.0, 1.0]]},
+    "indefinite-covariance": {**_MIXTURE, "covariances": [[1.0, 2.0, 2.0, 1.0]]},
+    "non-finite": {**_MIXTURE, "means": [[float("nan"), 0.0]]},
 }
 
 _MODEL = MlpModel.init(MlpSpec((2, 4), "relu", 3)).to_dict()
@@ -180,6 +184,9 @@ _BAD_CONFIGS = {
     "task-params-flag": ("train-toy", None, ["--task-params", "{not json"]),
     "task-params-list": ("train-toy", {"task_params": "[1, 2]"}, []),
     "negative-c": ("gen-head", None, ["--kind", "sandwich", "--c", "-1"]),
+    "no-seeds-counterfactual": ("counterfactual", None, ["--seeds", ""]),
+    "no-structures": ("counterfactual", None, ["--structures", ""]),
+    "no-seeds-depth-study": ("depth-study", None, ["--seeds", ""]),
 }
 
 

@@ -4,7 +4,7 @@ from scipy.stats import multivariate_normal
 
 from oodkit.core import FeatureMatrix, LabelVector
 from oodkit.errors import ConfigError, SingularModelError
-from oodkit.gmm import EmConfig, GaussianMixture, fit_em
+from oodkit.gmm import EmConfig, GaussianMixture, _kmeans_pp_init, fit_em
 
 
 def _two_blob_data(n_per=150, seed=0):
@@ -93,6 +93,40 @@ class TestGaussianMixtureModel:
     def test_unknown_version_rejected(self):
         with pytest.raises(ConfigError):
             GaussianMixture.from_dict({"format_version": 99})
+
+
+def _kmeans_pp_init_reference(x, k, rng, n_iter=10):
+    """k-means++ seeding and Lloyd steps on N x K x H distance arrays."""
+    n = x.shape[0]
+    centers = [x[rng.integers(n)]]
+    for _ in range(k - 1):
+        d2 = np.min([((x - c) ** 2).sum(axis=1) for c in centers], axis=0)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(x[rng.integers(n)])
+            continue
+        centers.append(x[rng.choice(n, p=d2 / total)])
+    centers = np.array(centers)
+    for _ in range(n_iter):
+        assign = np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
+        for i in range(k):
+            if np.any(assign == i):
+                centers[i] = x[assign == i].mean(axis=0)
+    return np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
+
+
+class TestKmeansInit:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_distance_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        k, h = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        n = int(rng.integers(k, 300))
+        x = rng.standard_normal((n, h)) + 4.0 * rng.integers(0, 3, (n, 1))  # three clusters
+        if seed == 0:
+            x[: x.shape[0] // 2] = x[0]  # repeated rows tie on distance
+        np.testing.assert_array_equal(
+            _kmeans_pp_init(x, k, np.random.default_rng(seed)),
+            _kmeans_pp_init_reference(x, k, np.random.default_rng(seed)))
 
 
 class TestFitEm:

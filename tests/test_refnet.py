@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodkit.core import FeatureMatrix, LabelVector, SoftmaxHead
 from oodkit.errors import ConfigError, DimensionError, NumericalError
@@ -11,7 +15,9 @@ from oodkit.refnet import (
     confidence_sweep,
     depth_study,
     generate,
+    run_counterfactual,
     train,
+    train_stack,
 )
 from oodkit.refnet import SweepState
 from oodkit.structure import OptimalStructureSpec, gen_optimal_head
@@ -174,6 +180,67 @@ class TestTraining:
             TrainConfig(weight_decay=-1e-3)
 
 
+class TestTrainStack:
+    @staticmethod
+    def _dataset(rng, n, d, k):
+        return (FeatureMatrix(rng.standard_normal((n, d))),
+                LabelVector(rng.integers(0, k, n), k=k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 6), depth=st.integers(1, 3),
+           activation=st.sampled_from(["relu", "tanh"]), linear_features=st.booleans(),
+           batch_size=st.integers(2, 9), data=st.data())
+    def test_stack_matches_each_model_alone(self, seed, s, depth, activation,
+                                            linear_features, batch_size, data):
+        rng = np.random.default_rng(seed)
+        d, width, h, k = (int(v) for v in rng.integers(1, 5, 4) + (0, 1, 0, 1))
+        # a last minibatch shorter than the others
+        n = batch_size * data.draw(st.integers(1, 3)) + data.draw(st.integers(1, batch_size - 1))
+        spec = MlpSpec((d,) + (width,) * (depth - 1) + (h,), activation, k,
+                       linear_features=linear_features)
+        frozen = data.draw(st.lists(st.booleans(), min_size=s, max_size=s))
+        datasets = [self._dataset(rng, n, d, k) for _ in range(s)]
+        cfgs = [TrainConfig(epochs=2, batch_size=batch_size, learning_rate=0.1,
+                            weight_decay=0.01, seed=int(rng.integers(1000)),
+                            frozen_head=SoftmaxHead(rng.standard_normal((h, k)),
+                                                    rng.standard_normal(k)) if f else None)
+                for f in frozen]
+        stacked = train_stack(datasets, spec, cfgs)
+        for model, dataset, cfg in zip(stacked, datasets, cfgs):
+            alone = train(dataset, spec, cfg)
+            for a, b in zip(model.weights + model.biases, alone.weights + alone.biases):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(model.head_w, alone.head_w)
+            np.testing.assert_array_equal(model.head_b, alone.head_b)
+            assert model.head_frozen == (cfg.frozen_head is not None)
+            if cfg.frozen_head is not None:
+                np.testing.assert_array_equal(model.head_w, cfg.frozen_head.w)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_diverging_model_stops_the_stack(self):
+        data = generate(_blob_task(seed=0, n_per_class=50))
+        huge = (FeatureMatrix(data[0].data * 1e150), data[1])
+        spec = MlpSpec((2, 8, 2), activation="relu", k=3, linear_features=True)
+        cfg = TrainConfig(epochs=5)
+        train(data, spec, cfg)
+        with pytest.raises(NumericalError):
+            train_stack([data, huge, data], spec, [cfg, cfg, replace(cfg, seed=1)])
+
+    def test_shared_schedule_and_nonempty_stack(self):
+        data = generate(_blob_task(n_per_class=20))
+        short = generate(_blob_task(n_per_class=19))
+        spec = MlpSpec((2, 4), k=3)
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(ConfigError):
+            train_stack([], spec, [])
+        with pytest.raises(ConfigError):
+            train_stack([data, short], spec, [cfg, cfg])
+        for other in (replace(cfg, epochs=2), replace(cfg, batch_size=32),
+                      replace(cfg, learning_rate=0.1), replace(cfg, weight_decay=1e-3)):
+            with pytest.raises(ConfigError):
+                train_stack([data, data], spec, [cfg, other])
+
+
 class TestParameterGradients:
     def test_all_parameter_grads_match_central_differences(self):
         rng = np.random.default_rng(9)
@@ -318,3 +385,12 @@ class TestDepthStudy:
         with pytest.raises(ConfigError):
             depth_study(train_data, train_data, train_data[0], depths=[0],
                         width=4, cfg=TrainConfig(epochs=1), seeds=[0])
+        with pytest.raises(ConfigError):
+            depth_study(train_data, train_data, train_data[0], depths=[1],
+                        width=4, cfg=TrainConfig(epochs=1), seeds=[])
+
+    def test_counterfactual_needs_seeds_and_structures(self):
+        with pytest.raises(ConfigError):
+            run_counterfactual(["optimal"], [], epochs=1, n_per_class=10)
+        with pytest.raises(ConfigError):
+            run_counterfactual([], [0], epochs=1, n_per_class=10)
