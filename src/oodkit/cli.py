@@ -38,6 +38,14 @@ def _write_json(path: str, payload) -> None:
         f.write("\n")
 
 
+def _write_csv(path: str, header, columns) -> None:
+    """A header line, then row i holds the repr of entry i of every column."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        text = [map(repr, col.tolist()) for col in columns]
+        f.writelines(",".join(row) + "\n" for row in zip(*text))
+
+
 # ---------------------------------------------------------------------------
 # verb implementations; each reads the typed config, whose "out" is a path
 # ---------------------------------------------------------------------------
@@ -72,11 +80,7 @@ def _cmd_score(cfg) -> None:
     if cfg["fmt"] == "json":
         _write_json(cfg["out"], {k: np.asarray(v).tolist() for k, v in cols.items()})
         return
-    with open(cfg["out"], "w") as f:
-        f.write(",".join(_SCORE_COLUMNS) + "\n")
-        text = [map(str if name in ("sample_index", "argmax_class") else repr,
-                    cols[name].tolist()) for name in _SCORE_COLUMNS]
-        f.writelines(",".join(row) + "\n" for row in zip(*text))
+    _write_csv(cfg["out"], _SCORE_COLUMNS, [cols[name] for name in _SCORE_COLUMNS])
 
 
 def _cmd_fit_gmm(cfg) -> None:
@@ -184,16 +188,12 @@ def _cmd_depth_study(cfg) -> None:
 def _cmd_pca(cfg) -> None:
     features, labels = core.load_features(cfg["features"])
     proj, comps, ratios = metrics.pca_project(features, dims=cfg["dims"])
-    with open(cfg["out"], "w") as f:
-        header = [f"pc{i}" for i in range(proj.shape[1])]
-        if labels is not None:
-            header.append("label")
-        f.write(",".join(header) + "\n")
-        for i in range(proj.shape[0]):
-            row = [repr(float(v)) for v in proj[i]]
-            if labels is not None:
-                row.append(str(int(labels.labels[i])))
-            f.write(",".join(row) + "\n")
+    header = [f"pc{i}" for i in range(proj.shape[1])]
+    columns = list(proj.T)
+    if labels is not None:
+        header.append("label")
+        columns.append(labels.labels)
+    _write_csv(cfg["out"], header, columns)
     _write_json(cfg["out"] + ".components.json",
                 {"components": comps.tolist(),
                  "explained_variance_ratio": ratios.tolist()})

@@ -137,11 +137,18 @@ class AngleDecomposition:
     argmax_class: int
 
 
-def logits(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
+def _row(head: SoftmaxHead, z) -> np.ndarray:
+    """One activation vector as a 1 x H batch."""
     z = _as_f64(z)
     if z.shape != (head.h,):
         raise DimensionError(f"expected z of shape ({head.h},), got {z.shape}")
-    return head.w.T @ z + head.b
+    return z[None, :]
+
+
+def logits(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
+    """w_i . z + b_i for one activation vector: a 1-row call of the batch
+    kernel, so it equals the matching row of a batch bitwise."""
+    return _logits_rows(head, _row(head, z))[0] + head.b
 
 
 def softmax(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
@@ -170,27 +177,31 @@ def decompose(head: SoftmaxHead, z: np.ndarray) -> AngleDecomposition:
     Argmax ties are broken toward the lowest class index. Cosines ignore the
     bias; the argmax class is taken over the full logits.
     """
-    z = _as_f64(z)
-    if z.shape != (head.h,):
-        raise DimensionError(f"expected z of shape ({head.h},), got {z.shape}")
-    wz, z_norm, cos = _angles(head, z[None, :])
+    wz, z_norm, cos = _angles(head, _row(head, z))
     return AngleDecomposition(z_norm=float(z_norm[0]), cos_theta=cos[0],
                               argmax_class=int(np.argmax(wz[0] + head.b)))
 
 
-def _angles(head: SoftmaxHead, x: np.ndarray):
-    """Bias-free logits x.w, row norms ||z|| and clipped cosines for N x H rows.
+def _logits_rows(head: SoftmaxHead, x: np.ndarray) -> np.ndarray:
+    """Bias-free logits x.w of N x H rows.
 
     einsum with ``optimize=False`` reduces each row in the same order whatever
     the batch size, so every row's bits are independent of how a batch is
-    split; a BLAS matrix product is not. Cosines of a zero row are 0.
+    split; a BLAS matrix product is not.
     """
     if x.shape[1] != head.h:
         raise DimensionError(f"expected features of width {head.h}, got {x.shape[1]}")
+    return np.einsum("nh,hk->nk", x, head.w, optimize=False)
+
+
+def _angles(head: SoftmaxHead, x: np.ndarray):
+    """Bias-free logits x.w, row norms ||z|| and clipped cosines for N x H rows,
+    each row independent of the batch split. Cosines of a zero row are 0.
+    """
+    wz = _logits_rows(head, x)
     w_norms = head.column_norms()
     if np.any(w_norms == 0.0):
         raise DegenerateWeightError("head has a zero-norm weight column")
-    wz = np.einsum("nh,hk->nk", x, head.w, optimize=False)
     z_norm = np.sqrt(np.einsum("nh,nh->n", x, x, optimize=False))
     cos = np.divide(wz, np.outer(z_norm, w_norms), out=np.zeros_like(wz),
                     where=z_norm[:, None] > 0.0)
@@ -298,7 +309,10 @@ def _load_features_binary(path, k):
     buf = io.BytesIO(raw)
     if buf.read(4) != _FEAT_MAGIC:
         raise DataFormatError("bad magic bytes, not a feature file")
-    version, n, h, has_labels = struct.unpack("<IIIB", buf.read(13))
+    header = buf.read(13)
+    if len(header) != 13:
+        raise DataFormatError("truncated feature header")
+    version, n, h, has_labels = struct.unpack("<IIIB", header)
     if version != _FEAT_VERSION:
         raise DataFormatError(f"unsupported feature file version {version}")
     body = buf.read(4 * n * h)

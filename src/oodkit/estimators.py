@@ -2,7 +2,9 @@
 closed-form mental model combining activation magnitude with weight-vector
 familiarity.
 
-Sign convention throughout the toolkit: higher score = more uncertain.
+Sign convention throughout the toolkit: higher score = more uncertain. The
+single-sample scores take their logits from the batch kernel, so each equals
+its ``score_batch`` row bitwise.
 """
 
 from __future__ import annotations
@@ -53,18 +55,10 @@ def u_entropy(head: SoftmaxHead, z) -> UncertaintyScore:
                             estimator_id="entropy")
 
 
-def u_cool(head: SoftmaxHead, z, temperature: float = COOL_TEMPERATURE,
-           scale_bias: bool = True) -> UncertaintyScore:
-    """Entropy of the cooled softmax.
-
-    By default the full logit (w_i . z + b_i) is scaled by ``temperature``,
-    matching temperature scaling of logits. With ``scale_bias=False`` only z
-    is scaled, which coincides with the default whenever b = 0.
-    """
-    if scale_bias:
-        ell = temperature * logits(head, z)
-    else:
-        ell = head.w.T @ (temperature * np.asarray(z, dtype=np.float64)) + head.b
+def u_cool(head: SoftmaxHead, z, temperature: float = COOL_TEMPERATURE) -> UncertaintyScore:
+    """Entropy of the cooled softmax: the full logit (w_i . z + b_i) is scaled
+    by ``temperature``, matching temperature scaling of logits."""
+    ell = temperature * logits(head, z)
     return UncertaintyScore(value=float(_entropy_rows(softmax_from_logits(ell))),
                             estimator_id="cool")
 

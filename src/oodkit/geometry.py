@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtri, erf
 
-from .core import FeatureMatrix, SoftmaxHead, softmax_from_logits
+from .core import FeatureMatrix, SoftmaxHead, _logits_rows, softmax_from_logits
 from .errors import ConfigError, DimensionError, NumericalError
 from .gmm import GaussianMixture
 
@@ -177,7 +177,8 @@ def solve_alpha_exact_k2(model: GaussianClassModel, head: SoftmaxHead,
 
     Requires w_1 = -w_2. Solves for alpha > 0 such that the class-Gaussian
     mass outside the slab |w_1 . (z - z_0)| < alpha ||w_1||^2 equals
-    1 - epsilon, by bisection on the analytic half-space integrals.
+    1 - epsilon, by bisection on the analytic half-space integrals down to a
+    bracket of width tol * max(1, alpha).
     """
     if model.k != 2 or head.k != 2:
         raise ConfigError("exact slab solve is defined for two classes")
@@ -195,26 +196,11 @@ def solve_alpha_exact_k2(model: GaussianClassModel, head: SoftmaxHead,
         warnings.warn("class Gaussians are not linearly separable; "
                       "slab width is approximate", stacklevel=2)
 
-    target = 1.0 - epsilon
-
     def out_mass(alpha: float) -> float:
         return _gaussian_mass_outside_slab(model, w1, boundary - alpha * nsq,
                                            boundary + alpha * nsq)
 
-    lo, hi = 0.0, 1.0
-    doublings = 0
-    while out_mass(hi) > target:
-        hi *= 2.0
-        doublings += 1
-        if doublings > max_doublings:
-            raise NumericalError("no sign change while growing the bisection bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if out_mass(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
+    alpha = _first_crossing(out_mass, 1.0 - epsilon, tol, max_doublings)
     anchor = w1 * (boundary / nsq)
     return SlabRegion(normal=w1, anchor=anchor, alpha_lo=alpha, alpha_hi=alpha)
 
@@ -251,35 +237,44 @@ class LinearApproxRegion:
 
 
 def _u_max_values(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
-    ell = np.atleast_2d(z) @ head.w + head.b
-    return -softmax_from_logits(ell).max(axis=1)
+    """u_max of N x H rows, bitwise the ``u_max`` column of score_batch."""
+    return -softmax_from_logits(_logits_rows(head, z) + head.b).max(axis=1)
 
 
-def _solve_slab_offset(head, base, direction, u_star, side, max_doublings=60,
-                       tol=1e-12):
-    """Smallest t > 0 with u_max(base + side*t*direction) <= u_star.
+def _first_crossing(f, level: float, tol: float, max_doublings: int = 60) -> float:
+    """Smallest t > 0 with f(t) <= level, for f decreasing in t.
 
-    u_max decreases monotonically moving away from the boundary along the
-    pair normal, so this is a bisection after geometric bracket growth.
+    The bracket [0, 1] doubles until f(hi) <= level, then bisection stops
+    once the bracket is narrower than tol * max(1, hi).
     """
-    def u_at(t):
-        return float(_u_max_values(head, (base + side * t * direction)[None, :])[0])
-
     hi = 1.0
     doublings = 0
-    while u_at(hi) > u_star:
+    while f(hi) > level:
         hi *= 2.0
         doublings += 1
         if doublings > max_doublings:
-            raise NumericalError("u_max never crosses u_star along the pair normal")
+            raise NumericalError(f"no crossing of {level!r} within "
+                                 f"{max_doublings} bracket doublings")
     lo = 0.0
     while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if u_at(mid) > u_star:
+        if f(mid) > level:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _solve_slab_offset(head, base, direction, u_star, side):
+    """Smallest t > 0 with u_max(base + side*t*direction) <= u_star.
+
+    u_max decreases monotonically moving away from the boundary along the
+    pair normal.
+    """
+    def u_at(t):
+        return float(_u_max_values(head, (base + side * t * direction)[None, :])[0])
+
+    return _first_crossing(u_at, u_star, 1e-12)
 
 
 def fit_linear_region(head: SoftmaxHead, train_features: FeatureMatrix,

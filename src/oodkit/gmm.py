@@ -58,7 +58,8 @@ class GaussianMixture:
         k, h = means.shape
         if weights.shape != (k,) or covariances.shape != (k, h, h):
             raise DimensionError("mixture parameter shapes disagree")
-        if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights <= 0):
+        # Written so that NaN fails it: every comparison with NaN is false.
+        if not (abs(weights.sum() - 1.0) <= 1e-12 and np.all(weights > 0)):
             raise ConfigError("weights must be a strictly positive simplex vector")
         if np.max(np.abs(covariances - covariances.transpose(0, 2, 1))) > 1e-10:
             raise SingularModelError("covariance not symmetric")
@@ -90,21 +91,17 @@ class GaussianMixture:
 
     def component_log_densities(self, x: np.ndarray) -> np.ndarray:
         """Per-component log N(x; mu_i, Sigma_i) for an N x H batch."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.h:
-            raise DimensionError(f"expected H={self.h} columns, got {x.shape[1]}")
-        x = self._maybe_log(x)
-        out = np.empty((x.shape[0], self.k_components))
-        for i, L in enumerate(self._chols):
-            d = x - self.means[i]
-            y = solve_triangular(L, d.T, lower=True)
-            out[:, i] = self._log_norms[i] - 0.5 * (y * y).sum(axis=0)
-        return out
+        return self._log_norms - 0.5 * self.mahalanobis_sq(x)
+
+    def _log_joint(self, x: np.ndarray):
+        """log(pi_i N(x; mu_i, Sigma_i)) per row and component (N x K'), and
+        its log-sum-exp over the components, the log density (N x 1)."""
+        log_joint = self.component_log_densities(x) + np.log(self.weights)
+        m = log_joint.max(axis=1, keepdims=True)
+        return log_joint, m + np.log(np.exp(log_joint - m).sum(axis=1, keepdims=True))
 
     def log_density_batch(self, x: np.ndarray) -> np.ndarray:
-        comp = self.component_log_densities(x) + np.log(self.weights)
-        m = comp.max(axis=1, keepdims=True)
-        return (m + np.log(np.exp(comp - m).sum(axis=1, keepdims=True))).ravel()
+        return self._log_joint(x)[1].ravel()
 
     def log_density(self, z) -> float:
         return float(self.log_density_batch(np.asarray(z, dtype=np.float64)[None, :])[0])
@@ -112,6 +109,8 @@ class GaussianMixture:
     def mahalanobis_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance of each row to every component."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[1] != self.h:
+            raise DimensionError(f"expected H={self.h} columns, got {x.shape[1]}")
         x = self._maybe_log(x)
         out = np.empty((x.shape[0], self.k_components))
         for i, L in enumerate(self._chols):
@@ -122,9 +121,8 @@ class GaussianMixture:
     def neg_log_density_grad(self, z) -> np.ndarray:
         """Gradient of -log density at a single point."""
         z = np.asarray(z, dtype=np.float64)
-        comp = self.component_log_densities(z[None, :])[0] + np.log(self.weights)
-        total = comp.max() + np.log(np.exp(comp - comp.max()).sum())
-        resp = np.exp(comp - total)
+        log_joint, total = self._log_joint(z[None, :])
+        resp = np.exp(log_joint - total)[0]
         zz = self._maybe_log(z[None, :])[0]
         grad = np.zeros(self.h)
         for i, L in enumerate(self._chols):
@@ -283,10 +281,8 @@ def fit_em(features: FeatureMatrix, labels: LabelVector | None = None,
     history = []
     prev_ll = -np.inf
     for _ in range(cfg.max_iter):
-        gmm = GaussianMixture(weights, means, covs, reg=cfg.reg)
-        log_joint = gmm.component_log_densities(x) + np.log(weights)
-        m = log_joint.max(axis=1, keepdims=True)
-        log_total = m + np.log(np.exp(log_joint - m).sum(axis=1, keepdims=True))
+        # Not through log_density_batch: the E-step needs the joint as well.
+        log_joint, log_total = GaussianMixture(weights, means, covs, reg=cfg.reg)._log_joint(x)
         ll = float(log_total.sum())
         history.append(ll)
         resp = np.exp(log_joint - log_total)

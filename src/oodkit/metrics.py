@@ -116,8 +116,9 @@ def pca_project(features: FeatureMatrix, dims: int = 2):
     if dims < 1:
         raise ConfigError("dims must be >= 1")
     x = features.data
-    if features.n < dims:
-        raise DimensionError("need at least `dims` samples")
+    if dims > min(features.n, features.h):
+        raise DimensionError(f"dims={dims} exceeds the {features.n} samples or "
+                             f"the feature width {features.h}")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / max(features.n - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)

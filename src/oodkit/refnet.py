@@ -532,9 +532,13 @@ def _entropy_scores(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _entropy_rows(model.predict_proba(x))
 
 
-def _stderr(values: np.ndarray) -> float:
+def _summary(name: str, values) -> dict:
+    """``<name>_per_seed``, ``<name>_mean`` and ``<name>_stderr`` of per-seed values."""
+    values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    return float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return {f"{name}_per_seed": values.tolist(),
+            f"{name}_mean": float(values.mean()),
+            f"{name}_stderr": float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0}
 
 
 def depth_study(train_data, test_data, ood_features: FeatureMatrix,
@@ -558,19 +562,11 @@ def depth_study(train_data, test_data, ood_features: FeatureMatrix,
         spec = MlpSpec((train_x.h,) + (width,) * depth, activation, k)
         models = train_stack([(train_x, train_y)] * len(seeds), spec,
                              [replace(cfg, seed=int(seed)) for seed in seeds])
-        accs = np.array([model.accuracy(*test_data) for model in models])
-        aurocs = np.array([auroc(_entropy_scores(model, test_data[0].data),
-                                 _entropy_scores(model, ood_features.data))
-                           for model in models])
-        rows.append({
-            "depth": int(depth),
-            "accuracy_per_seed": accs.tolist(),
-            "auroc_per_seed": aurocs.tolist(),
-            "accuracy_mean": float(accs.mean()),
-            "accuracy_stderr": _stderr(accs),
-            "auroc_mean": float(aurocs.mean()),
-            "auroc_stderr": _stderr(aurocs),
-        })
+        accs = [model.accuracy(*test_data) for model in models]
+        aurocs = [auroc(_entropy_scores(model, test_data[0].data),
+                        _entropy_scores(model, ood_features.data)) for model in models]
+        rows.append({"depth": int(depth), **_summary("accuracy", accs),
+                     **_summary("auroc", aurocs)})
     return rows
 
 
@@ -627,16 +623,8 @@ def run_counterfactual(structures, seeds, h=2, width=16, epochs=50, activation="
             feats = FeatureMatrix(model.features(train_x.data))
             xents.append(structure.regularized_xent(feats, train_y, model.head(),
                                                     lambda1=weight_decay))
-        accs, aurocs, xents = np.array(accs), np.array(aurocs), np.array(xents)
-        results[kind] = {
-            "accuracy_per_seed": accs.tolist(),
-            "auroc_per_seed": aurocs.tolist(),
-            "regularized_xent_per_seed": xents.tolist(),
-            "accuracy_mean": float(accs.mean()), "accuracy_stderr": _stderr(accs),
-            "auroc_mean": float(aurocs.mean()), "auroc_stderr": _stderr(aurocs),
-            "regularized_xent_mean": float(xents.mean()),
-            "regularized_xent_stderr": _stderr(xents),
-        }
+        results[kind] = {**_summary("accuracy", accs), **_summary("auroc", aurocs),
+                         **_summary("regularized_xent", xents)}
     order = sorted(results, key=lambda k: -results[k]["auroc_mean"])
     return {"structures": results, "auroc_order": order}
 

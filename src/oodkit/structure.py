@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, LabelVector, SoftmaxHead, softmax_from_logits
+from .core import FeatureMatrix, LabelVector, SoftmaxHead, _angles, softmax_from_logits
 from .errors import ConfigError, DegenerateWeightError, DimensionError
 
 __all__ = [
@@ -185,17 +185,9 @@ class AngleStats:
 
 def angle_stats(features: FeatureMatrix, head: SoftmaxHead,
                 hist_bins: int = 30) -> AngleStats:
-    """Per-sample ||z|| and max_i cos(theta) with distribution summaries."""
-    if features.h != head.h:
-        raise DimensionError("feature dimension does not match head")
-    norms = head.column_norms()
-    if np.any(norms == 0.0):
-        raise DegenerateWeightError("zero-norm weight column")
-    z_norm = np.linalg.norm(features.data, axis=1)
-    proj = features.data @ head.w / norms
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos = proj / z_norm[:, None]
-    cos = np.where(z_norm[:, None] > 0.0, np.clip(cos, -1.0, 1.0), 0.0)
+    """Per-sample ||z|| and max_i cos(theta) with distribution summaries;
+    both equal the ``z_norm`` and ``max_cos`` columns of score_batch."""
+    _, z_norm, cos = _angles(head, features.data)
     max_cos = cos.max(axis=1)
     q = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
     return AngleStats(

@@ -224,6 +224,24 @@ class TestExitCodes:
         assert _run("audit-head", "--outdir", str(tmp_path),
                     "--head", str(tmp_path / "head.csv")) == EXIT_IO
 
+    # Features are 3 wide, the head and the mixture 2 wide.
+    @pytest.mark.parametrize("flags", [
+        ["pca", "--dims", "5"],
+        ["region", "--kind", "linear", "--head", "HEAD"],
+        ["region", "--kind", "density", "--gmm", "GMM", "--mass-samples", "1000"],
+    ], ids=["pca-dims-above-width", "region-head-width", "region-mixture-width"])
+    def test_width_mismatch_is_config_error(self, tmp_path, capsys, flags):
+        head = _write_cluster_features(tmp_path / "f2.csv", h=2)
+        from oodkit.core import save_head
+        save_head(tmp_path / "head.csv", head)
+        _write_cluster_features(tmp_path / "f.csv", h=3)
+        (tmp_path / "gmm.json").write_text(json.dumps(_MIXTURE))
+        paths = {"HEAD": str(tmp_path / "head.csv"), "GMM": str(tmp_path / "gmm.json")}
+        flags = [paths.get(flag, flag) for flag in flags]
+        assert _run(*flags, "--features", str(tmp_path / "f.csv"),
+                    "--outdir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("case", list(_BAD_MIXTURES))
     def test_mixture_file_missing_key(self, tmp_path, case):
         head = _write_cluster_features(tmp_path / "f.csv", h=2)

@@ -216,9 +216,12 @@ class TestFeatureFiles:
         fm, lv = self._data()
         p = tmp_path / "f.bin"
         save_features(p, fm, lv, fmt="binary")
-        (tmp_path / "cut.bin").write_bytes(p.read_bytes()[:-5])
-        with pytest.raises(DataFormatError):
-            load_features(tmp_path / "cut.bin", fmt="binary")
+        raw = p.read_bytes()
+        # a cut payload, then the magic plus 0 to 12 of the 13 header bytes
+        for cut in [raw[:-5]] + [raw[:4 + m] for m in range(13)]:
+            (tmp_path / "cut.bin").write_bytes(cut)
+            with pytest.raises(DataFormatError):
+                load_features(tmp_path / "cut.bin", fmt="binary")
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"

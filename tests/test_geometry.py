@@ -5,7 +5,7 @@ from scipy.stats import chi2, norm
 
 from oodkit.core import FeatureMatrix, SoftmaxHead
 from oodkit.errors import ConfigError, NumericalError
-from oodkit.estimators import u_max
+from oodkit.estimators import score_batch, u_max
 from oodkit.geometry import (
     DensityRegion,
     GaussianClassModel,
@@ -185,9 +185,20 @@ class TestLinearRegion:
         assert slab.alpha_lo == pytest.approx(expected, rel=1e-9)
 
     def test_threshold_is_empirical_quantile(self):
-        head, fm, region = self._fitted()
-        scores = np.array([u_max(head, z).value for z in fm.data])
-        assert region.u_star == empirical_threshold(scores, 0.05)
+        # The planar 3-class fit, then random H=64, K=10 heads: u_star is
+        # exactly the quantile of the u_max that score_batch and the
+        # single-sample u_max report.
+        fits = [self._fitted()]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            head = SoftmaxHead(w=rng.standard_normal((64, 10)), b=rng.standard_normal(10))
+            fm = FeatureMatrix(rng.standard_normal((2000, 64)))
+            fits.append((head, fm, fit_linear_region(head, fm, 0.05)))
+        for head, fm, region in fits:
+            batch = score_batch(head, fm)["u_max"]
+            single = np.array([u_max(head, z).value for z in fm.data])
+            assert region.u_star == empirical_threshold(batch, 0.05)
+            assert region.u_star == empirical_threshold(single, 0.05)
 
     def test_members_exceed_threshold(self):
         head, fm, region = self._fitted()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from oodkit.core import FeatureMatrix, LabelVector
-from oodkit.errors import ConfigError, SingularModelError
+from oodkit.errors import ConfigError, DimensionError, SingularModelError
 from oodkit.gmm import EmConfig, GaussianMixture, _kmeans_pp_init, fit_em
 
 
@@ -65,6 +66,10 @@ class TestGaussianMixtureModel:
             GaussianMixture([0.5, 0.6], np.zeros((2, 1)), np.ones((2, 1, 1)))
         with pytest.raises(ConfigError):
             GaussianMixture([1.2, -0.2], np.zeros((2, 1)), np.ones((2, 1, 1)))
+        for weights in ([np.nan], [0.5, np.nan]):
+            k = len(weights)
+            with pytest.raises(ConfigError):
+                GaussianMixture(weights, np.zeros((k, 1)), np.ones((k, 1, 1)))
 
     def test_not_positive_definite_rejected(self):
         with pytest.raises(SingularModelError):
@@ -113,6 +118,40 @@ def _kmeans_pp_init_reference(x, k, rng, n_iter=10):
             if np.any(assign == i):
                 centers[i] = x[assign == i].mean(axis=0)
     return np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
+
+
+def _component_log_densities_reference(gmm, x):
+    """The per-component loop that component_log_densities replaced."""
+    x = gmm._maybe_log(np.atleast_2d(x))
+    out = np.empty((x.shape[0], gmm.k_components))
+    for i, L in enumerate(gmm._chols):
+        y = solve_triangular(L, (x - gmm.means[i]).T, lower=True)
+        out[:, i] = gmm._log_norms[i] - 0.5 * (y * y).sum(axis=0)
+    return out
+
+
+class TestComponentLogDensities:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_component_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        k, h = int(rng.integers(1, 11)), 64
+        a = rng.standard_normal((k, h, h)) / np.sqrt(h)
+        covs = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(h)
+        log_transform = seed % 2 == 1
+        means = rng.standard_normal((k, h)) + (3.0 if log_transform else 0.0)
+        gmm = GaussianMixture(np.full(k, 1.0 / k), means, covs, log_transform=log_transform)
+        for n in (1, 2, 500):
+            x = rng.standard_normal((n, h)) * rng.uniform(0.1, 3.0)
+            if log_transform:
+                x = np.exp(x)
+            np.testing.assert_array_equal(gmm.component_log_densities(x),
+                                          _component_log_densities_reference(gmm, x))
+
+    def test_width_mismatch_raises(self):
+        gmm = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
+        for f in (gmm.component_log_densities, gmm.mahalanobis_sq, gmm.log_density_batch):
+            with pytest.raises(DimensionError):
+                f(np.zeros((4, 3)))
 
 
 class TestKmeansInit:

@@ -3,6 +3,7 @@ import pytest
 
 from oodkit.core import FeatureMatrix, LabelVector, SoftmaxHead, softmax
 from oodkit.errors import ConfigError, DegenerateWeightError, DimensionError
+from oodkit.estimators import score_batch
 from oodkit.structure import (
     COUNTERFACTUAL_KINDS,
     OptimalStructureSpec,
@@ -156,6 +157,16 @@ class TestAngleStats:
         head = SoftmaxHead(w=np.eye(3), b=np.zeros(3))
         with pytest.raises(DimensionError):
             angle_stats(FeatureMatrix(np.ones((2, 2))), head)
+
+    def test_equals_score_columns(self):
+        rng = np.random.default_rng(6)
+        head = SoftmaxHead(w=rng.standard_normal((64, 10)), b=rng.standard_normal(10))
+        x = rng.standard_normal((500, 64)) * rng.uniform(0.1, 10.0, size=(500, 1))
+        x[3] = 0.0
+        fm = FeatureMatrix(x)
+        st, cols = angle_stats(fm, head), score_batch(head, fm)
+        np.testing.assert_array_equal(st.z_norm, cols["z_norm"])
+        np.testing.assert_array_equal(st.max_cos, cols["max_cos"])
 
 
 class TestRegularizedXent:
