@@ -42,9 +42,7 @@ from .estimators import (
 )
 from .geometry import (
     DensityRegion,
-    GaussianClassModel,
     LinearApproxRegion,
-    RegionSpec,
     SlabRegion,
     density_region,
     empirical_threshold,

@@ -118,14 +118,18 @@ def _cmd_region(cfg) -> None:
     _write_json(cfg["out"], payload)
 
 
-def _per_class_gaussian(features, labels) -> "geometry.GaussianClassModel":
+def _per_class_gaussian(features, labels) -> gmm_mod.GaussianMixture:
     """Moment-matched per-class Gaussians, the sampling stand-in for p_in."""
     counts = np.bincount(labels.labels, minlength=labels.k)
     if np.any(counts < 2):
         raise ConfigError(f"class {int(np.argmax(counts < 2))} has fewer than 2 samples")
     priors, means, covs = gmm_mod._moment_match(features.data, labels.labels, labels.k,
                                                 1e-9, features.h)
-    return geometry.GaussianClassModel(means, covs, priors)
+    return gmm_mod.GaussianMixture(priors, means, covs)
+
+
+_ATTRIBUTION_COLUMNS = ("auroc_max", "auroc_entropy", "auroc_cool", "auroc_density",
+                        "cause1", "cause2", "cause3")
 
 
 def _cmd_attribute(cfg) -> None:
@@ -145,11 +149,9 @@ def _cmd_attribute(cfg) -> None:
     if cfg["fmt"] == "json":
         _write_json(cfg["out"], payload)
         return
-    with open(cfg["out"], "w") as f:
-        f.write("auroc_max,auroc_entropy,auroc_cool,auroc_density,"
-                "cause1,cause2,cause3\n")
-        for rep in reports:
-            f.write(rep.to_csv_row() + "\n")
+    _write_csv(cfg["out"], _ATTRIBUTION_COLUMNS,
+               [np.array([getattr(rep, name) for rep in reports])
+                for name in _ATTRIBUTION_COLUMNS])
 
 
 def _cmd_train_toy(cfg) -> None:
@@ -323,6 +325,8 @@ VERBS = {
 
 # Keys whose flag is not --key with "_" turned into "-".
 _FLAGS = {"fmt": "--format", "rows": "--row"}
+# Keys that seed numpy generators, which take no negative seed.
+_SEED_KEYS = ("seed", "mass_seed", "seeds")
 
 
 def _typed(kind, value):
@@ -384,6 +388,8 @@ def _config(verb: str, args) -> dict:
         kind, default = params[key][:2]
         try:
             typed[key] = None if value is None and default is None else _typed(kind, value)
+            if key in _SEED_KEYS and any(seed < 0 for seed in np.ravel(typed[key])):
+                raise ValueError(f"expected non-negative seeds, got {value!r}")
         except (ValueError, OverflowError) as e:
             raise ConfigError(f"{key}: {e}") from e
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."

@@ -58,9 +58,16 @@ def u_entropy(head: SoftmaxHead, z) -> UncertaintyScore:
 def u_cool(head: SoftmaxHead, z, temperature: float = COOL_TEMPERATURE) -> UncertaintyScore:
     """Entropy of the cooled softmax: the full logit (w_i . z + b_i) is scaled
     by ``temperature``, matching temperature scaling of logits."""
-    ell = temperature * logits(head, z)
+    ell = _cooled(logits(head, z), temperature)
     return UncertaintyScore(value=float(_entropy_rows(softmax_from_logits(ell))),
                             estimator_id="cool")
+
+
+def _cooled(ell, temperature: float):
+    """The logits scaled by a finite, positive temperature."""
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise ConfigError(f"cool temperature must be finite and > 0, got {temperature!r}")
+    return temperature * ell
 
 
 def u_mental(k: int, z_norm: float, max_cos: float) -> UncertaintyScore:
@@ -142,7 +149,7 @@ def score_batch(head: SoftmaxHead, features: FeatureMatrix,
         "sample_index": np.arange(n),
         "u_max": -p.max(axis=1),
         "u_entropy": _entropy_rows(p),
-        "u_cool": _entropy_rows(softmax_from_logits(cool_temperature * ell)),
+        "u_cool": _entropy_rows(softmax_from_logits(_cooled(ell, cool_temperature))),
         "u_density": (np.full(n, np.nan) if gmm is None
                       else -gmm.log_density_batch(features.data)),
         "z_norm": z_norm,

@@ -9,23 +9,20 @@ as the oracle for all of them.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtri, erf
 
 from .core import FeatureMatrix, SoftmaxHead, _logits_rows, softmax_from_logits
-from .errors import ConfigError, DimensionError, NumericalError
+from .errors import ConfigError, NumericalError
 from .gmm import GaussianMixture
 
 __all__ = [
-    "RegionSpec",
     "SlabRegion",
     "LinearApproxRegion",
     "DensityRegion",
-    "GaussianClassModel",
     "empirical_threshold",
     "solve_alpha_exact_k2",
     "fit_linear_region",
@@ -37,19 +34,6 @@ DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_MC_SEED = 20_240_601
 FAR_FIELD_FACTOR = 1e3
 SEPARABILITY_TAIL = 1e-4
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    epsilon: float
-    u_star: float
-    estimator_id: str
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError("epsilon must lie in (0, 1)")
-        if not np.isfinite(self.u_star):
-            raise NumericalError("u_star must be finite")
 
 
 def empirical_threshold(train_scores, epsilon: float) -> float:
@@ -65,47 +49,6 @@ def empirical_threshold(train_scores, epsilon: float) -> float:
         raise ConfigError("epsilon must lie in (0, 1)")
     rank = max(1, int(np.ceil(scores.size * (1.0 - epsilon))))
     return float(np.sort(scores)[rank - 1])
-
-
-@dataclass(frozen=True)
-class GaussianClassModel:
-    """Per-class Gaussians with priors; the analytic stand-in for p_in(z)."""
-
-    means: np.ndarray
-    covariances: np.ndarray
-    priors: np.ndarray
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        covs = np.asarray(self.covariances, dtype=np.float64)
-        priors = np.asarray(self.priors, dtype=np.float64)
-        if means.ndim != 2 or covs.shape != (means.shape[0],) + (means.shape[1],) * 2:
-            raise DimensionError("means must be KxH, covariances KxHxH")
-        if abs(priors.sum() - 1.0) > 1e-12 or np.any(priors < 0):
-            raise ConfigError("priors must form a simplex vector")
-        for c in covs:
-            np.linalg.cholesky(c)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covariances", covs)
-        object.__setattr__(self, "priors", priors)
-
-    @property
-    def k(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def h(self) -> int:
-        return self.means.shape[1]
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        counts = rng.multinomial(n, self.priors)
-        chunks = []
-        for i, c in enumerate(counts):
-            if c:
-                chunks.append(rng.multivariate_normal(self.means[i], self.covariances[i],
-                                                      size=c, method="cholesky"))
-        out = np.concatenate(chunks, axis=0)
-        return out[rng.permutation(n)]
 
 
 @dataclass(frozen=True)
@@ -143,44 +86,48 @@ class SlabRegion:
                 "alpha_lo": self.alpha_lo, "alpha_hi": self.alpha_hi}
 
 
-def _gaussian_mass_outside_slab(model: GaussianClassModel, w: np.ndarray,
+def _projected_moments(mixture: GaussianMixture, w: np.ndarray):
+    """Mean and standard deviation of w . z under each component."""
+    means = [float(w @ mean) for mean in mixture.means]
+    sds = [float(np.sqrt(w @ cov @ w)) for cov in mixture.covariances]
+    return means, sds
+
+
+def _gaussian_mass_outside_slab(mixture: GaussianMixture, w: np.ndarray,
                                 c_lo: float, c_hi: float) -> float:
-    """Mass of the class mixture outside the slab c_lo < w.z < c_hi."""
+    """Mass of the mixture outside the slab c_lo < w.z < c_hi."""
     total = 0.0
-    for i in range(model.k):
-        m = float(w @ model.means[i])
-        s = float(np.sqrt(w @ model.covariances[i] @ w))
+    for weight, m, s in zip(mixture.weights, *_projected_moments(mixture, w)):
         below = 0.5 * (1.0 + erf((c_lo - m) / (np.sqrt(2.0) * s)))
         above = 0.5 * (1.0 - erf((c_hi - m) / (np.sqrt(2.0) * s)))
-        total += model.priors[i] * (below + above)
+        total += weight * (below + above)
     return total
 
 
-def check_linear_separability(model: GaussianClassModel, w: np.ndarray,
+def check_linear_separability(mixture: GaussianMixture, w: np.ndarray,
                               boundary_offset: float = 0.0) -> bool:
-    """Each class keeps all but a negligible tail on its own side of the
+    """Each component keeps all but a negligible tail on its own side of the
     decision hyperplane w . z = boundary_offset.
     """
     ok = True
-    for i in range(model.k):
-        m = float(w @ model.means[i]) - boundary_offset
-        s = float(np.sqrt(w @ model.covariances[i] @ w))
-        tail = 0.5 * (1.0 - erf(abs(m) / (np.sqrt(2.0) * s)))
+    for m, s in zip(*_projected_moments(mixture, w)):
+        tail = 0.5 * (1.0 - erf(abs(m - boundary_offset) / (np.sqrt(2.0) * s)))
         ok &= tail < SEPARABILITY_TAIL
     return ok
 
 
-def solve_alpha_exact_k2(model: GaussianClassModel, head: SoftmaxHead,
+def solve_alpha_exact_k2(mixture: GaussianMixture, head: SoftmaxHead,
                          epsilon: float, tol: float = 1e-10,
                          max_doublings: int = 60) -> SlabRegion:
     """Exact two-class slab width.
 
-    Requires w_1 = -w_2. Solves for alpha > 0 such that the class-Gaussian
-    mass outside the slab |w_1 . (z - z_0)| < alpha ||w_1||^2 equals
-    1 - epsilon, by bisection on the analytic half-space integrals down to a
-    bracket of width tol * max(1, alpha).
+    Requires w_1 = -w_2 and one mixture component per class. Solves for
+    alpha > 0 such that the class-Gaussian mass outside the slab
+    |w_1 . (z - z_0)| < alpha ||w_1||^2 equals 1 - epsilon, by bisection on
+    the analytic half-space integrals down to a bracket of width
+    tol * max(1, alpha).
     """
-    if model.k != 2 or head.k != 2:
+    if mixture.k_components != 2 or head.k != 2:
         raise ConfigError("exact slab solve is defined for two classes")
     if not 0.0 < epsilon < 1.0:
         raise ConfigError("epsilon must lie in (0, 1)")
@@ -192,12 +139,12 @@ def solve_alpha_exact_k2(model: GaussianClassModel, head: SoftmaxHead,
         raise ConfigError("zero weight vector")
     # Decision boundary: w_1.z + b_1 = w_2.z + b_2  =>  w_1.z = (b_2-b_1)/2
     boundary = float(head.b[1] - head.b[0]) / 2.0
-    if not check_linear_separability(model, w1, boundary):
+    if not check_linear_separability(mixture, w1, boundary):
         warnings.warn("class Gaussians are not linearly separable; "
                       "slab width is approximate", stacklevel=2)
 
     def out_mass(alpha: float) -> float:
-        return _gaussian_mass_outside_slab(model, w1, boundary - alpha * nsq,
+        return _gaussian_mass_outside_slab(mixture, w1, boundary - alpha * nsq,
                                            boundary + alpha * nsq)
 
     alpha = _first_crossing(out_mass, 1.0 - epsilon, tol, max_doublings)
@@ -350,9 +297,9 @@ def mc_region_mass(contains, sampler, n: int = DEFAULT_MC_SAMPLES,
                    seed: int = DEFAULT_MC_SEED, batch: int = 100_000) -> float:
     """Monte Carlo estimate of the sampler's mass inside the region.
 
-    ``contains`` maps an N x H batch to booleans; ``sampler`` is either a
-    GaussianClassModel or any object with sample(n, rng). Deterministic for
-    a given (seed, batch) pair.
+    ``contains`` maps an N x H batch to booleans; ``sampler`` is any object
+    with sample(n, rng), such as a GaussianMixture. Deterministic for a
+    given (seed, batch) pair.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -366,6 +313,3 @@ def mc_region_mass(contains, sampler, n: int = DEFAULT_MC_SAMPLES,
         done += m
     return hits / n
 
-
-def region_to_json(region) -> str:
-    return json.dumps(region.to_dict(), indent=1, sort_keys=True)

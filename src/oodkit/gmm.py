@@ -131,6 +131,21 @@ class GaussianMixture:
             grad = grad / z  # chain rule through the log transform
         return grad
 
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws in feature space (exponentiated under ``log_transform``).
+
+        The stream of ``rng.multivariate_normal(method="cholesky")`` per
+        component: multinomial counts, then mean + N(0, I) @ L^T, then one
+        shuffle. L comes from ``np.linalg.cholesky``, whose bits (unlike the
+        cached scipy factors) are the ones that call uses.
+        """
+        counts = rng.multinomial(n, self.weights)
+        chunks = [self.means[i] + rng.standard_normal((c, self.h))
+                  @ np.linalg.cholesky(self.covariances[i]).T
+                  for i, c in enumerate(counts) if c]
+        out = np.concatenate(chunks)[rng.permutation(n)]
+        return np.exp(out) if self.log_transform else out
+
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:

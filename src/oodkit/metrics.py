@@ -81,11 +81,6 @@ class AttributionReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1)
 
-    def to_csv_row(self) -> str:
-        vals = [self.auroc_max, self.auroc_entropy, self.auroc_cool,
-                self.auroc_density, self.cause1, self.cause2, self.cause3]
-        return ",".join(repr(v) for v in vals)
-
 
 def attribute(a: float, b: float, c: float, d: float) -> AttributionReport:
     """Build the attribution report from the four estimator AUROCs

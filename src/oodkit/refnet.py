@@ -121,15 +121,17 @@ def generate(task: SyntheticTask):
     Deterministic for a given seed parameter.
     """
     p = dict(task.params)
-    seed = int(p.pop("seed", 0))
+    seed = _pop(p, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"task seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
     if task.kind in ("gaussian_blobs", "two_d_toy"):
-        k = int(p.pop("k", 3))
-        dim = int(p.pop("dim", 2))
-        n_per_class = int(p.pop("n_per_class", 200))
-        sigma = float(p.pop("sigma", 1.0))
-        separation = float(p.pop("separation", 6.0))
+        k = _pop(p, "k", int, 3)
+        dim = _pop(p, "dim", int, 2)
+        n_per_class = _pop(p, "n_per_class", int, 200)
+        sigma = _pop(p, "sigma", float, 1.0)
+        separation = _pop(p, "separation", float, 6.0)
         _reject_unknown(p)
         if k < 2 or dim < 1 or n_per_class < 1 or sigma <= 0 or separation <= 0:
             raise ConfigError("invalid blob parameters")
@@ -146,10 +148,10 @@ def generate(task: SyntheticTask):
         return FeatureMatrix(x[perm]), LabelVector(y[perm], k=k)
 
     if task.kind == "ring_ood":
-        n = int(p.pop("n", 500))
-        dim = int(p.pop("dim", 2))
-        radius = float(p.pop("radius", 12.0))
-        width = float(p.pop("width", 2.0))
+        n = _pop(p, "n", int, 500)
+        dim = _pop(p, "dim", int, 2)
+        radius = _pop(p, "radius", float, 12.0)
+        width = _pop(p, "width", float, 2.0)
         _reject_unknown(p)
         if n < 1 or dim < 1 or radius <= 0 or width < 0:
             raise ConfigError("invalid ring parameters")
@@ -159,31 +161,32 @@ def generate(task: SyntheticTask):
         return FeatureMatrix(dirs * r[:, None]), None
 
     if task.kind == "uniform_hypercube_ood":
-        n = int(p.pop("n", 500))
-        dim = int(p.pop("dim", 2))
-        low = float(p.pop("low", -1.0))
-        high = float(p.pop("high", 1.0))
+        n = _pop(p, "n", int, 500)
+        dim = _pop(p, "dim", int, 2)
+        low = _pop(p, "low", float, -1.0)
+        high = _pop(p, "high", float, 1.0)
         _reject_unknown(p)
-        if n < 1 or dim < 1 or high <= low:
+        if n < 1 or dim < 1 or not 0 < high - low < np.inf:
             raise ConfigError("invalid hypercube parameters")
         return FeatureMatrix(rng.uniform(low, high, size=(n, dim))), None
 
     # binary_grid: per-class binary prototypes with pixel-flip noise, or a
     # uniform Bernoulli(0.5) sampler over the grid.
-    grid = int(p.pop("grid", 9))
+    grid = _pop(p, "grid", int, 9)
     mode = p.pop("mode", "classes")
     if mode == "uniform":
-        n = int(p.pop("n", 500))
+        n = _pop(p, "n", int, 500)
         _reject_unknown(p)
         if n < 1 or grid < 1:
             raise ConfigError("invalid grid parameters")
         return FeatureMatrix(rng.integers(0, 2, size=(n, grid * grid)).astype(float)), None
-    k = int(p.pop("k", 3))
-    n_per_class = int(p.pop("n_per_class", 200))
-    flip_prob = float(p.pop("flip_prob", 0.05))
-    proto_seed = int(p.pop("proto_seed", 0))
+    k = _pop(p, "k", int, 3)
+    n_per_class = _pop(p, "n_per_class", int, 200)
+    flip_prob = _pop(p, "flip_prob", float, 0.05)
+    proto_seed = _pop(p, "proto_seed", int, 0)
     _reject_unknown(p)
-    if k < 2 or n_per_class < 1 or not 0.0 <= flip_prob < 0.5 or grid < 1:
+    if (k < 2 or n_per_class < 1 or not 0.0 <= flip_prob < 0.5 or grid < 1
+            or proto_seed < 0):
         raise ConfigError("invalid grid parameters")
     proto_rng = np.random.default_rng(proto_seed)
     protos = proto_rng.integers(0, 2, size=(k, grid * grid))
@@ -194,6 +197,18 @@ def generate(task: SyntheticTask):
     y = np.repeat(np.arange(k), n_per_class)
     perm = rng.permutation(x.shape[0])
     return FeatureMatrix(x[perm]), LabelVector(y[perm], k=k)
+
+
+def _pop(params: dict, key: str, kind, default):
+    """params.pop(key, default) converted by kind; a value that kind cannot
+    convert (a word for a number, null, NaN or infinity for an int) raises
+    ConfigError."""
+    value = params.pop(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"task parameter {key}: expected {kind.__name__}, "
+                          f"got {value!r}") from e
 
 
 def _reject_unknown(leftover: dict) -> None:
@@ -516,7 +531,7 @@ def confidence_sweep(model: MlpModel, sampler: SyntheticTask, n_samples: int,
     if n_samples < top_m * model.spec.k:
         raise ConfigError("n_samples must be >= top_m * K")
     state = SweepState(model, top_m)
-    seed = int(sampler.params.get("seed", 0))
+    seed = _pop(dict(sampler.params), "seed", int, 0)
     done = 0
     chunk_idx = 0
     while done < n_samples:

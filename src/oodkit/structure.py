@@ -148,6 +148,8 @@ def audit_head(head: SoftmaxHead, hist_bins: int = 20) -> StructureReport:
     """Norms, biases, and pairwise cosines of a head, summarized against
     the equiangular target -1/(K-1).
     """
+    if hist_bins < 1:
+        raise ConfigError("hist_bins must be >= 1")
     norms = head.column_norms()
     if np.any(norms == 0.0):
         raise DegenerateWeightError("zero-norm weight column")

@@ -29,7 +29,6 @@ from oodkit.estimators import (
 )
 from oodkit.errors import ArgmaxTieError
 from oodkit.geometry import (
-    GaussianClassModel,
     empirical_threshold,
     fit_linear_region,
     mc_region_mass,
@@ -114,9 +113,8 @@ class TestAcceptance:
         w1 = np.array([1.2, -0.4])
         head = SoftmaxHead(w=np.stack([w1, -w1], axis=1), b=np.zeros(2))
         wh = w1 / np.linalg.norm(w1)
-        model = GaussianClassModel(means=[3.5 * wh, -3.5 * wh],
-                                   covariances=[0.5 * np.eye(2)] * 2,
-                                   priors=[0.5, 0.5])
+        model = GaussianMixture([0.5, 0.5], [3.5 * wh, -3.5 * wh],
+                                [0.5 * np.eye(2)] * 2)
         eps = 0.05
         region = solve_alpha_exact_k2(model, head, eps)
 

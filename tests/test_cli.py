@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oodkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from oodkit.core import FeatureMatrix, LabelVector, save_features
+from oodkit.core import FeatureMatrix, LabelVector, save_features, save_head
+from oodkit.metrics import attribute
 from oodkit.refnet import MlpModel, MlpSpec
 from oodkit.structure import OptimalStructureSpec, gen_optimal_head, synthesize_cluster_features
 
@@ -128,12 +129,20 @@ class TestAttribute:
         assert len(attr["aggregate"]["cause_mean"]) == 3
 
     def test_csv_output(self, tmp_path):
-        assert _run("attribute", "--outdir", str(tmp_path),
-                    "--row", "0.8,0.85,0.9,0.95", "--format", "csv",
+        rows = ["0.8,0.85,0.9,0.95", "0.9,0.92,0.95,0.99", "0.71,0.6,0.123456789,1"]
+        assert _run("attribute", "--outdir", str(tmp_path), "--format", "csv",
+                    *[arg for row in rows for arg in ("--row", row)],
                     "--out", "attr.csv") == EXIT_OK
-        lines = (tmp_path / "attr.csv").read_text().strip().split("\n")
-        assert lines[0].startswith("auroc_max,")
-        assert len(lines) == 2
+        lines = (tmp_path / "attr.csv").read_text().split("\n")
+        # one column per AUROC and cause; the boolean flag stays in the JSON
+        assert lines[0] == ("auroc_max,auroc_entropy,auroc_cool,auroc_density,"
+                            "cause1,cause2,cause3")
+        assert lines[-1] == "" and len(lines) == len(rows) + 2
+        for line, row in zip(lines[1:], rows):
+            rep = attribute(*map(float, row.split(",")))
+            assert line == ",".join(repr(v) for v in (
+                rep.auroc_max, rep.auroc_entropy, rep.auroc_cool, rep.auroc_density,
+                rep.cause1, rep.cause2, rep.cause3))
 
     def test_malformed_row_is_config_error(self, tmp_path):
         assert _run("attribute", "--outdir", str(tmp_path),
@@ -187,6 +196,21 @@ _BAD_CONFIGS = {
     "no-seeds-counterfactual": ("counterfactual", None, ["--seeds", ""]),
     "no-structures": ("counterfactual", None, ["--structures", ""]),
     "no-seeds-depth-study": ("depth-study", None, ["--seeds", ""]),
+    "negative-seed": ("gen-head", None, ["--seed", "-1"]),
+    "negative-seed-file": ("fit-gmm", {"seed": -3}, []),
+    "negative-seeds": ("counterfactual", None, ["--seeds", "-1"]),
+    "negative-seeds-file": ("depth-study", {"seeds": [0, -2]}, []),
+    "negative-mass-seed": ("region", None, ["--head", "head.csv", "--features", "features.csv",
+                                            "--mass-samples", "100", "--mass-seed", "-1"]),
+    # the cases below reach the verb, with the files that the test writes
+    "task-param-word": ("train-toy", None, ["--task-params", '{"k": "x"}']),
+    "task-param-null": ("train-toy", None, ["--task-params", '{"k": null}']),
+    "task-param-negative-seed": ("train-toy", None, ["--task-params", '{"seed": -1}']),
+    "sampler-param-word": ("sweep", None, ["--sampler-params", '{"dim": "abc"}']),
+    "sampler-range-infinite": ("sweep", None, ["--sampler-params", '{"high": Infinity}']),
+    "hist-bins-zero": ("audit-head", None, ["--hist-bins", "0"]),
+    "cool-temperature-nan": ("score", None, ["--cool-temperature", "nan"]),
+    "cool-temperature-zero": ("score", None, ["--cool-temperature", "0"]),
 }
 
 
@@ -242,6 +266,16 @@ class TestExitCodes:
                     "--outdir", str(tmp_path / "out")) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_singular_class_is_numerical_error(self, tmp_path, capsys):
+        # class 0 lies on a line, so its moment-matched covariance is not PD
+        (tmp_path / "f.csv").write_text("h0,h1,label\n0,0,0\n1e8,1e8,0\n2e8,2e8,0\n"
+                                        "1,0,1\n0,1,1\n1,1,1\n")
+        (tmp_path / "head.csv").write_text("1.0,-1.0\n0.5,-0.5\n0,0\n")
+        assert _run("region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
+                    "--features", str(tmp_path / "f.csv"), "--mass-samples", "1000",
+                    "--outdir", str(tmp_path / "out")) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical error:")
+
     @pytest.mark.parametrize("case", list(_BAD_MIXTURES))
     def test_mixture_file_missing_key(self, tmp_path, case):
         head = _write_cluster_features(tmp_path / "f.csv", h=2)
@@ -260,7 +294,11 @@ class TestExitCodes:
                     "--model", str(tmp_path / "model.json")) == EXIT_IO
 
     @pytest.mark.parametrize("case", list(_BAD_CONFIGS))
-    def test_mistyped_config_is_config_error(self, tmp_path, capsys, case):
+    def test_mistyped_config_is_config_error(self, tmp_path, capsys, monkeypatch, case):
+        # valid files under the default input names, for the cases that get that far
+        monkeypatch.chdir(tmp_path)
+        save_head(tmp_path / "head.csv", _write_cluster_features(tmp_path / "features.csv"))
+        (tmp_path / "model.json").write_text(json.dumps(_MODEL))
         verb, payload, flags = _BAD_CONFIGS[case]
         if payload is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(payload))

@@ -4,19 +4,16 @@ from scipy.optimize import brentq
 from scipy.stats import chi2, norm
 
 from oodkit.core import FeatureMatrix, SoftmaxHead
-from oodkit.errors import ConfigError, NumericalError
+from oodkit.errors import ConfigError
 from oodkit.estimators import score_batch, u_max
 from oodkit.geometry import (
     DensityRegion,
-    GaussianClassModel,
     LinearApproxRegion,
-    RegionSpec,
     SlabRegion,
     density_region,
     empirical_threshold,
     fit_linear_region,
     mc_region_mass,
-    region_to_json,
     solve_alpha_exact_k2,
 )
 from oodkit.gmm import GaussianMixture
@@ -46,35 +43,6 @@ class TestEmpiricalThreshold:
         with pytest.raises(ConfigError):
             empirical_threshold([1.0], 1.0)
 
-    def test_region_spec_validation(self):
-        RegionSpec(epsilon=0.05, u_star=-0.9, estimator_id="max")
-        with pytest.raises(ConfigError):
-            RegionSpec(epsilon=1.5, u_star=0.0, estimator_id="max")
-        with pytest.raises(NumericalError):
-            RegionSpec(epsilon=0.5, u_star=np.nan, estimator_id="max")
-
-
-class TestGaussianClassModel:
-    def test_sample_moments(self):
-        m = GaussianClassModel(means=[[5.0, 0.0], [-5.0, 0.0]],
-                               covariances=[np.eye(2), 2.0 * np.eye(2)],
-                               priors=[0.5, 0.5])
-        x = m.sample(200_000, np.random.default_rng(1))
-        assert x.shape == (200_000, 2)
-        # mixture mean is the prior-weighted blend
-        np.testing.assert_allclose(x.mean(axis=0), [0.0, 0.0], atol=0.05)
-        right = x[x[:, 0] > 0]
-        np.testing.assert_allclose(right.mean(axis=0), [5.0, 0.0], atol=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            GaussianClassModel(means=[[0.0]], covariances=[[[1.0]]],
-                               priors=[0.7])
-        with pytest.raises(np.linalg.LinAlgError):
-            GaussianClassModel(means=[[0.0, 0.0]],
-                               covariances=[[[1.0, 2.0], [2.0, 1.0]]],
-                               priors=[1.0])
-
 
 class TestSlabRegion:
     def test_hand_membership(self):
@@ -100,9 +68,8 @@ def _k2_setup(sep=4.0, sigma=0.8, bias=0.0):
     head = SoftmaxHead(w=np.stack([w1, -w1], axis=1),
                        b=np.array([bias, -bias]))
     wh = w1 / np.linalg.norm(w1)
-    model = GaussianClassModel(means=[sep * wh, -sep * wh],
-                               covariances=[sigma ** 2 * np.eye(2)] * 2,
-                               priors=[0.5, 0.5])
+    model = GaussianMixture([0.5, 0.5], [sep * wh, -sep * wh],
+                            [sigma ** 2 * np.eye(2)] * 2)
     return head, model, w1
 
 
@@ -116,7 +83,7 @@ class TestExactTwoClassSlab:
         # independent oracle: scipy norm cdf + brentq on the mass equation
         def outside(alpha):
             total = 0.0
-            for mean, cov, pr in zip(model.means, model.covariances, model.priors):
+            for mean, cov, pr in zip(model.means, model.covariances, model.weights):
                 mu = float(w1 @ mean)
                 sd = float(np.sqrt(w1 @ cov @ w1))
                 total += pr * (norm.cdf((-alpha * nsq - mu) / sd)
@@ -150,9 +117,7 @@ class TestExactTwoClassSlab:
 
     def test_requires_two_classes(self):
         head = gen_optimal_head(OptimalStructureSpec(k=3, h=2))
-        model = GaussianClassModel(means=np.zeros((3, 2)),
-                                   covariances=[np.eye(2)] * 3,
-                                   priors=np.full(3, 1 / 3))
+        model = GaussianMixture(np.full(3, 1 / 3), np.zeros((3, 2)), [np.eye(2)] * 3)
         with pytest.raises(ConfigError):
             solve_alpha_exact_k2(model, head, 0.05)
 
@@ -240,9 +205,7 @@ class TestDensityRegion:
                               [np.array([[2.0, 0.3], [0.3, 1.0]])])
         eps = 0.05
         region = density_region(gmm, eps)
-        model = GaussianClassModel(means=gmm.means, covariances=gmm.covariances,
-                                   priors=[1.0])
-        mass = mc_region_mass(region.contains, model, n=400_000, seed=17)
+        mass = mc_region_mass(region.contains, gmm, n=400_000, seed=17)
         assert mass == pytest.approx(eps, abs=0.003)
 
     def test_threshold_is_chi2_quantile(self):
@@ -267,14 +230,12 @@ class TestDensityRegion:
 
 class TestMonteCarloMass:
     def test_half_space_oracle(self):
-        model = GaussianClassModel(means=[[0.0, 0.0]], covariances=[np.eye(2)],
-                                   priors=[1.0])
+        model = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
         mass = mc_region_mass(lambda z: z[:, 0] > 0.0, model, n=500_000, seed=19)
         assert mass == pytest.approx(0.5, abs=0.002)
 
     def test_deterministic_for_seed_and_batch(self):
-        model = GaussianClassModel(means=[[0.0, 0.0]], covariances=[np.eye(2)],
-                                   priors=[1.0])
+        model = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
         a = mc_region_mass(lambda z: z[:, 0] > 0.3, model, n=50_000, seed=23,
                            batch=10_000)
         b = mc_region_mass(lambda z: z[:, 0] > 0.3, model, n=50_000, seed=23,
@@ -282,20 +243,12 @@ class TestMonteCarloMass:
         assert a == b
 
     def test_rejects_bad_n(self):
-        model = GaussianClassModel(means=[[0.0]], covariances=[np.eye(1)],
-                                   priors=[1.0])
+        model = GaussianMixture([1.0], [[0.0]], [np.eye(1)])
         with pytest.raises(ConfigError):
             mc_region_mass(lambda z: z[:, 0] > 0, model, n=0)
 
 
 class TestSerialization:
-    def test_region_json_is_deterministic(self):
-        head, fm, region = TestLinearRegion()._fitted()
-        s1 = region_to_json(region)
-        s2 = region_to_json(region)
-        assert s1 == s2
-        assert '"type": "linear_approx"' in s1
-
     def test_slab_dict_fields(self):
         slab = SlabRegion(normal=np.array([1.0, 0.0]), anchor=np.zeros(2),
                           alpha_lo=0.2, alpha_hi=0.3)

@@ -71,6 +71,13 @@ class TestGaussianMixtureModel:
             with pytest.raises(ConfigError):
                 GaussianMixture(weights, np.zeros((k, 1)), np.ones((k, 1, 1)))
 
+    def test_class_model_validation(self):
+        # the per-class model that the region's Monte Carlo oracle samples
+        with pytest.raises(ConfigError):
+            GaussianMixture([0.7], [[0.0]], [[[1.0]]])
+        with pytest.raises(SingularModelError):
+            GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]])
+
     def test_not_positive_definite_rejected(self):
         with pytest.raises(SingularModelError):
             GaussianMixture([1.0], [[0.0, 0.0]],
@@ -152,6 +159,52 @@ class TestComponentLogDensities:
         for f in (gmm.component_log_densities, gmm.mahalanobis_sq, gmm.log_density_batch):
             with pytest.raises(DimensionError):
                 f(np.zeros((4, 3)))
+
+
+def _sample_reference(gmm, n, rng):
+    """The per-component multivariate_normal draws that sample replaced."""
+    counts = rng.multinomial(n, gmm.weights)
+    chunks = [rng.multivariate_normal(gmm.means[i], gmm.covariances[i], size=c,
+                                      method="cholesky")
+              for i, c in enumerate(counts) if c]
+    return np.concatenate(chunks)[rng.permutation(n)]
+
+
+def _random_mixture(seed, k=10, h=64, log_transform=False):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, h, h)) / np.sqrt(h)
+    covs = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(h)
+    weights = rng.uniform(0.01, 1.0, k)
+    return GaussianMixture(weights / weights.sum(), rng.standard_normal((k, h)), covs,
+                           log_transform=log_transform)
+
+
+class TestSample:
+    def test_sample_moments(self):
+        m = GaussianMixture([0.5, 0.5], [[5.0, 0.0], [-5.0, 0.0]],
+                            [np.eye(2), 2.0 * np.eye(2)])
+        x = m.sample(200_000, np.random.default_rng(1))
+        assert x.shape == (200_000, 2)
+        # mixture mean is the weighted blend
+        np.testing.assert_allclose(x.mean(axis=0), [0.0, 0.0], atol=0.05)
+        right = x[x[:, 0] > 0]
+        np.testing.assert_allclose(right.mean(axis=0), [5.0, 0.0], atol=0.05)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_multivariate_normal_stream(self, seed):
+        gmm = _random_mixture(seed)
+        # n=5 leaves at least five of the ten components without a draw
+        for n in (1, 5, 20_000):
+            np.testing.assert_array_equal(
+                gmm.sample(n, np.random.default_rng(seed + 100)),
+                _sample_reference(gmm, n, np.random.default_rng(seed + 100)))
+
+    def test_log_transform_draws_live_in_feature_space(self):
+        gmm = _random_mixture(7, k=3, h=8, log_transform=True)
+        x = gmm.sample(5_000, np.random.default_rng(2))
+        assert np.all(x > 0)
+        np.testing.assert_array_equal(
+            x, np.exp(_sample_reference(gmm, 5_000, np.random.default_rng(2))))
 
 
 class TestKmeansInit:
