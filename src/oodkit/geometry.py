@@ -159,19 +159,40 @@ class LinearApproxRegion:
     """
 
     head: SoftmaxHead
-    slabs: dict  # (i, j) with i < j -> SlabRegion
+    slabs: dict  # (i, j) with i < j -> SlabRegion with normal w_i - w_j
     u_star: float
     epsilon: float
 
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        ell = z @ self.head.w + self.head.b
-        argmax = np.argmax(ell, axis=1)
-        inside = np.zeros(z.shape[0], dtype=bool)
+    def __post_init__(self):
+        # Slab (i, j) is lo < n.z < hi for n = w_i - w_j, so a row whose
+        # argmax class is a meets slab (a, j) iff lo[a, j] < zw_a - zw_j <
+        # hi[a, j]. The reversed pair bounds -n.z, so its bounds swap and
+        # flip sign. Pairs without a slab keep lo = hi = 0, which no
+        # difference lies strictly between.
+        lo = np.zeros((self.head.k, self.head.k))
+        hi = np.zeros((self.head.k, self.head.k))
         for (i, j), slab in self.slabs.items():
-            cell = (argmax == i) | (argmax == j)
-            inside |= cell & slab.contains(z)
-        return inside
+            if not np.array_equal(slab.normal, self.head.w[:, i] - self.head.w[:, j]):
+                raise ConfigError(f"slab ({i}, {j}) normal is not w_{i} - w_{j}")
+            nsq = float(slab.normal @ slab.normal)
+            c = float(slab.normal @ slab.anchor)
+            lo[i, j] = c - slab.alpha_lo * nsq
+            hi[i, j] = c + slab.alpha_hi * nsq
+            lo[j, i], hi[j, i] = -hi[i, j], -lo[i, j]
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
+
+    def contains(self, z: np.ndarray) -> np.ndarray:
+        """Rows inside a slab of a pair that holds their argmax class.
+
+        One z @ W serves the argmax and every slab: n.z = zw_i - zw_j. A
+        NaN row fails every comparison and stays outside.
+        """
+        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        zw = z @ self.head.w
+        argmax = np.argmax(zw + self.head.b, axis=1)
+        d = np.take_along_axis(zw, argmax[:, None], axis=1) - zw
+        return ((self._lo[argmax] < d) & (d < self._hi[argmax])).any(axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -303,13 +324,15 @@ def mc_region_mass(contains, sampler, n: int = DEFAULT_MC_SAMPLES,
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
+    if batch < 1:
+        raise ConfigError("batch must be >= 1")
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
     while done < n:
         m = min(batch, n - done)
-        pts = sampler.sample(m, rng)
-        hits += int(np.count_nonzero(contains(pts)))
+        # No name holds the batch, so it is freed before the next one is drawn.
+        hits += int(np.count_nonzero(contains(sampler.sample(m, rng))))
         done += m
     return hits / n
 

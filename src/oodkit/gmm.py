@@ -137,14 +137,25 @@ class GaussianMixture:
         The stream of ``rng.multivariate_normal(method="cholesky")`` per
         component: multinomial counts, then mean + N(0, I) @ L^T, then one
         shuffle. L comes from ``np.linalg.cholesky``, whose bits (unlike the
-        cached scipy factors) are the ones that call uses.
+        cached scipy factors) are the ones that call uses. Two n x H buffers
+        hold the whole draw: the normals, then the shifted draws, then the
+        shuffle gathered back over the normals.
         """
         counts = rng.multinomial(n, self.weights)
-        chunks = [self.means[i] + rng.standard_normal((c, self.h))
-                  @ np.linalg.cholesky(self.covariances[i]).T
-                  for i, c in enumerate(counts) if c]
-        out = np.concatenate(chunks)[rng.permutation(n)]
-        return np.exp(out) if self.log_transform else out
+        normals = np.empty((n, self.h))
+        draws = np.empty((n, self.h))
+        start = 0
+        for i, c in enumerate(counts):
+            if c:
+                rows = slice(start, start + c)
+                rng.standard_normal(out=normals[rows])
+                np.matmul(normals[rows], np.linalg.cholesky(self.covariances[i]).T,
+                          out=draws[rows])
+                draws[rows] += self.means[i]
+                start += c
+        # mode="clip" writes straight into out; the default mode buffers it.
+        out = np.take(draws, rng.permutation(n), axis=0, out=normals, mode="clip")
+        return np.exp(out, out=out) if self.log_transform else out
 
     # -- persistence --------------------------------------------------------
 

@@ -133,7 +133,9 @@ def generate(task: SyntheticTask):
         sigma = _pop(p, "sigma", float, 1.0)
         separation = _pop(p, "separation", float, 6.0)
         _reject_unknown(p)
-        if k < 2 or dim < 1 or n_per_class < 1 or sigma <= 0 or separation <= 0:
+        # Written so that NaN and infinity fail it.
+        if not (k >= 2 and dim >= 1 and n_per_class >= 1 and 0 < sigma < np.inf
+                and 0 < separation < np.inf):
             raise ConfigError("invalid blob parameters")
         # Circle radius such that adjacent means sit `separation` sigmas apart.
         chord = 2.0 * np.sin(np.pi / k) if k > 1 and dim > 1 else 2.0 / max(k - 1, 1)
@@ -153,7 +155,7 @@ def generate(task: SyntheticTask):
         radius = _pop(p, "radius", float, 12.0)
         width = _pop(p, "width", float, 2.0)
         _reject_unknown(p)
-        if n < 1 or dim < 1 or radius <= 0 or width < 0:
+        if not (n >= 1 and dim >= 1 and 0 < radius < np.inf and 0 <= width < np.inf):
             raise ConfigError("invalid ring parameters")
         dirs = rng.standard_normal((n, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

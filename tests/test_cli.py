@@ -206,6 +206,13 @@ _BAD_CONFIGS = {
     "task-param-word": ("train-toy", None, ["--task-params", '{"k": "x"}']),
     "task-param-null": ("train-toy", None, ["--task-params", '{"k": null}']),
     "task-param-negative-seed": ("train-toy", None, ["--task-params", '{"seed": -1}']),
+    "task-param-sigma-nan": ("train-toy", None, ["--task-params", '{"sigma": NaN}']),
+    "task-param-separation-infinite": ("train-toy", None,
+                                       ["--task-params", '{"separation": Infinity}']),
+    "sampler-ring-radius-nan": ("sweep", None, ["--sampler", "ring_ood",
+                                                "--sampler-params", '{"radius": NaN}']),
+    "sampler-ring-width-infinite": ("sweep", None, ["--sampler", "ring_ood",
+                                                    "--sampler-params", '{"width": Infinity}']),
     "sampler-param-word": ("sweep", None, ["--sampler-params", '{"dim": "abc"}']),
     "sampler-range-infinite": ("sweep", None, ["--sampler-params", '{"high": Infinity}']),
     "hist-bins-zero": ("audit-head", None, ["--hist-bins", "0"]),

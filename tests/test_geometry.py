@@ -199,6 +199,119 @@ class TestLinearRegion:
             fit_linear_region(head, FeatureMatrix(np.zeros((5, 2)) + 0.1), 0.05)
 
 
+def _contains_per_slab(region, z):
+    """The per-slab membership that LinearApproxRegion.contains replaced:
+    one z @ n per slab, masked by the pair's argmax cells."""
+    z = np.atleast_2d(z)
+    argmax = np.argmax(z @ region.head.w + region.head.b, axis=1)
+    inside = np.zeros(z.shape[0], dtype=bool)
+    for (i, j), slab in region.slabs.items():
+        inside |= ((argmax == i) | (argmax == j)) & slab.contains(z)
+    return inside
+
+
+def _near_a_face(region, z):
+    """Rows within the rounding bound of a dot product, 2 H eps sum|z_k n_k|,
+    of a face of a slab whose pair holds their argmax class."""
+    w = region.head.w
+    argmax = np.argmax(z @ w + region.head.b, axis=1)
+    near = np.zeros(z.shape[0], dtype=bool)
+    for (i, j), slab in region.slabs.items():
+        nsq = float(slab.normal @ slab.normal)
+        c = float(slab.normal @ slab.anchor)
+        g = z @ slab.normal - c
+        dist = np.minimum(np.abs(g + slab.alpha_lo * nsq), np.abs(g - slab.alpha_hi * nsq))
+        scale = (np.abs(z) @ (np.abs(w[:, i]) + np.abs(w[:, j])) + abs(c)
+                 + max(slab.alpha_lo, slab.alpha_hi) * nsq)
+        bound = 2 * z.shape[1] * np.finfo(float).eps * scale
+        near |= ((argmax == i) | (argmax == j)) & (dist <= bound)
+    return near
+
+
+def _face_points(region, scales):
+    """Points on each slab face and at relative steps from ulps to 1e-3
+    either side, at several distances along the pair's boundary."""
+    w = region.head.w
+    eps = np.finfo(float).eps
+    steps = [0.0] + [s * r for r in (4 * eps, 1e-13, 1e-9, 1e-6, 1e-3) for s in (-1, 1)]
+    pts = []
+    for (i, j), slab in region.slabs.items():
+        n = slab.normal
+        e = w[:, i] + w[:, j]
+        e = e - (e @ n) / (n @ n) * n
+        e /= np.linalg.norm(e)
+        for s in scales:
+            base = slab.anchor + s * e
+            for t in (slab.alpha_hi, -slab.alpha_lo):
+                pts.extend(base + t * (1.0 + step) * n for step in steps)
+    return np.array(pts)
+
+
+class TestLinearMembership:
+    """contains equals the per-slab formula except within rounding of a face."""
+
+    def _h64_k10(self):
+        # Classes 1 and 2 share row 0 of W and their bias, so z = t e_0 ties
+        # their logits exactly; the other biases differ, so the slabs are
+        # not centred on n.z = 0 and reversed pairs differ from forward ones.
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((64, 10))
+        w[0, 1] = w[0, 2] = np.abs(w[0]).max() + 1.0
+        b = rng.standard_normal(10)
+        b[2] = b[1]
+        head = SoftmaxHead(w=w, b=b)
+        y = rng.integers(0, 10, 2000)
+        region = fit_linear_region(
+            head, FeatureMatrix(0.5 * w[:, y].T + rng.standard_normal((2000, 64))), 0.05)
+        y = rng.integers(0, 10, 50_000)
+        gauss = 0.5 * w[:, y].T + 2.0 * rng.standard_normal((50_000, 64))
+        ties = np.outer([10.0, 30.0, 100.0], np.eye(64)[0])
+        return region, gauss, ties
+
+    def _h2_k3(self):
+        # b_0 = b_1 ties classes 0 and 1 at the origin.
+        w = gen_optimal_head(OptimalStructureSpec(k=3, h=2, c1=1.5), seed=1).w
+        head = SoftmaxHead(w=w, b=np.array([0.5, 0.5, -1.0]))
+        rng = np.random.default_rng(3)
+        y = rng.integers(0, 3, 900)
+        centres = 4.0 * (w / np.linalg.norm(w, axis=0)).T
+        region = fit_linear_region(
+            head, FeatureMatrix(centres[y] + 0.6 * rng.standard_normal((900, 2))), 0.05)
+        y = rng.integers(0, 3, 50_000)
+        gauss = centres[y] + 2.0 * rng.standard_normal((50_000, 2))
+        return region, gauss, np.zeros((1, 2))
+
+    @pytest.mark.parametrize("case", ["h64_k10", "h2_k3"])
+    def test_matches_per_slab_formula(self, case):
+        region, gauss, ties = getattr(self, "_" + case)()
+        far = 1e3 * float(region.head.column_norms().max())
+        faces = _face_points(region, (0.01 * far, far))
+        nan_rows = np.full((2, region.head.h), 1.0)
+        nan_rows[0] = np.nan
+        nan_rows[1, -1] = np.nan
+        for z in (gauss, faces, ties, nan_rows):
+            got, want = region.contains(z), _contains_per_slab(region, z)
+            assert not np.any((got != want) & ~_near_a_face(region, z))
+        # the sets exercise both outcomes, the ties and the NaN rows
+        assert 0 < _contains_per_slab(region, gauss).sum() < gauss.shape[0]
+        assert 0 < _contains_per_slab(region, faces).sum() < faces.shape[0]
+        ell = ties @ region.head.w + region.head.b
+        top = np.sort(ell, axis=1)
+        assert np.all(top[:, -1] == top[:, -2])
+        assert region.contains(ties).all()
+        assert not region.contains(nan_rows).any()
+
+    def test_slab_normal_must_be_the_class_difference(self):
+        region, _, _ = self._h2_k3()
+        slabs = dict(region.slabs)
+        s = slabs[(0, 1)]
+        slabs[(0, 1)] = SlabRegion(normal=-s.normal, anchor=s.anchor,
+                                   alpha_lo=s.alpha_hi, alpha_hi=s.alpha_lo)
+        with pytest.raises(ConfigError):
+            LinearApproxRegion(head=region.head, slabs=slabs, u_star=region.u_star,
+                               epsilon=region.epsilon)
+
+
 class TestDensityRegion:
     def test_single_component_mass_is_epsilon(self):
         gmm = GaussianMixture([1.0], [[1.0, -2.0]],
@@ -246,6 +359,12 @@ class TestMonteCarloMass:
         model = GaussianMixture([1.0], [[0.0]], [np.eye(1)])
         with pytest.raises(ConfigError):
             mc_region_mass(lambda z: z[:, 0] > 0, model, n=0)
+
+    @pytest.mark.parametrize("batch", [0, -5])
+    def test_rejects_bad_batch(self, batch):
+        model = GaussianMixture([1.0], [[0.0]], [np.eye(1)])
+        with pytest.raises(ConfigError):
+            mc_region_mass(lambda z: z[:, 0] > 0, model, n=10, batch=batch)
 
 
 class TestSerialization:

@@ -199,6 +199,11 @@ class TestSample:
                 gmm.sample(n, np.random.default_rng(seed + 100)),
                 _sample_reference(gmm, n, np.random.default_rng(seed + 100)))
 
+    def test_zero_draws_are_an_empty_batch(self):
+        gmm = _random_mixture(4, k=3, h=5)
+        x = gmm.sample(0, np.random.default_rng(0))
+        assert x.shape == (0, 5)
+
     def test_log_transform_draws_live_in_feature_space(self):
         gmm = _random_mixture(7, k=3, h=8, log_transform=True)
         x = gmm.sample(5_000, np.random.default_rng(2))
