@@ -135,11 +135,11 @@ def score_batch(head: SoftmaxHead, features: FeatureMatrix,
     """Score every sample with all estimators.
 
     Returns a dict of column name -> 1-D array, in the batch-scoring CSV
-    column order. Every column but ``u_density`` is bitwise independent of
-    how the batch is split: the logits come from one row-wise einsum and every
-    later step is elementwise or a reduction along a row. ``u_density`` can
-    differ in the last ulp for a one-row batch, whose triangular solve takes
-    another BLAS path.
+    column order. Every column is bitwise independent of how the batch is
+    split: the logits come from one row-wise einsum and every later step is
+    elementwise or a reduction along a row, and ``u_density`` comes from
+    ``GaussianMixture.log_density_batch``, whose rows do not depend on the
+    batch either (a one-row batch included).
     """
     n = features.n
     wz, z_norm, cos = _angles(head, features.data)

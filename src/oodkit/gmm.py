@@ -4,6 +4,14 @@ log-density scoring.
 Responsibilities are computed in log space and all solves go through
 Cholesky factors; no covariance is ever explicitly inverted. Fitted
 mixtures are immutable and safe to share.
+
+The Gaussian kernels (``mahalanobis_sq`` and everything built on it, and
+the k-means++ distances) walk the rows in blocks of about ``_BLOCK_BYTES``
+per H-wide temporary, so their scratch memory is O(block x H), not O(N x H);
+only the N x K' outputs grow with N. Each row's result does not depend on
+the block it falls in, so the outputs are bitwise those of one whole-batch
+pass, and a row's ``log_density`` equals its ``log_density_batch`` entry.
+The EM M-step is not blocked: its covariance products reduce over N.
 """
 
 from __future__ import annotations
@@ -22,6 +30,19 @@ from .errors import (ConfigError, DataFormatError, DimensionError, NotFittedErro
 __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_BLOCK_BYTES = 1 << 20  # bytes per H-wide float64 temporary of a row block
+
+
+def _row_blocks(n: int, h: int):
+    """Slices that cover rows 0..n-1 in order, _BLOCK_BYTES // (8 h) rows
+    each (at least 2). A 1-row tail joins the block before it, so only a
+    1-row input gives a 1-row block."""
+    step = max(2, _BLOCK_BYTES // (8 * h))
+    start = 0
+    while start < n:
+        stop = n if n - start <= step + 1 else start + step
+        yield slice(start, stop)
+        start = stop
 
 
 @dataclass(frozen=True)
@@ -36,10 +57,11 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.rel_tol <= 0:
-            raise ConfigError("rel_tol must be > 0")
-        if self.reg < 0:
-            raise ConfigError("reg must be >= 0")
+        # Written so that NaN and +-inf fail them.
+        if not 0 < self.rel_tol < np.inf:
+            raise ConfigError("rel_tol must be finite and > 0")
+        if not 0 <= self.reg < np.inf:
+            raise ConfigError("reg must be finite and >= 0")
         if self.init not in ("labels", "kmeans_pp"):
             raise ConfigError(f"unknown init {self.init!r}")
 
@@ -58,10 +80,10 @@ class GaussianMixture:
         k, h = means.shape
         if weights.shape != (k,) or covariances.shape != (k, h, h):
             raise DimensionError("mixture parameter shapes disagree")
-        # Written so that NaN fails it: every comparison with NaN is false.
+        # Written so that NaN fails them: every comparison with NaN is false.
         if not (abs(weights.sum() - 1.0) <= 1e-12 and np.all(weights > 0)):
             raise ConfigError("weights must be a strictly positive simplex vector")
-        if np.max(np.abs(covariances - covariances.transpose(0, 2, 1))) > 1e-10:
+        if not np.max(np.abs(covariances - covariances.transpose(0, 2, 1))) <= 1e-10:
             raise SingularModelError("covariance not symmetric")
         self.weights = weights
         self.means = means
@@ -107,15 +129,23 @@ class GaussianMixture:
         return float(self.log_density_batch(np.asarray(z, dtype=np.float64)[None, :])[0])
 
     def mahalanobis_sq(self, x: np.ndarray) -> np.ndarray:
-        """Squared Mahalanobis distance of each row to every component."""
+        """Squared Mahalanobis distance of each row to every component,
+        one row block at a time."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.h:
             raise DimensionError(f"expected H={self.h} columns, got {x.shape[1]}")
-        x = self._maybe_log(x)
         out = np.empty((x.shape[0], self.k_components))
-        for i, L in enumerate(self._chols):
-            y = solve_triangular(L, (x - self.means[i]).T, lower=True)
-            out[:, i] = (y * y).sum(axis=0)
+        for rows in _row_blocks(*x.shape):
+            xb = self._maybe_log(x[rows])
+            if xb.shape[0] == 1:
+                # A one-column triangular solve takes another BLAS path; two
+                # equal columns give the bits of any larger batch.
+                xb = np.repeat(xb, 2, axis=0)
+            for i, L in enumerate(self._chols):
+                y = solve_triangular(L, (xb - self.means[i]).T, lower=True,
+                                     overwrite_b=True)
+                y *= y
+                out[rows, i] = y.sum(axis=0)[:rows.stop - rows.start]
         return out
 
     def neg_log_density_grad(self, z) -> np.ndarray:
@@ -220,11 +250,14 @@ class GaussianMixture:
 
 
 def _nearest_center(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # One N-vector of squared distances per centre: memory stays linear in N.
-    d2 = np.empty((x.shape[0], centers.shape[0]))
-    for i, c in enumerate(centers):
-        d2[:, i] = ((x - c) ** 2).sum(axis=1)
-    return np.argmin(d2, axis=1)
+    assign = np.empty(x.shape[0], dtype=np.intp)
+    for rows in _row_blocks(*x.shape):
+        xb = x[rows]
+        d2 = np.empty((xb.shape[0], centers.shape[0]))
+        for i, c in enumerate(centers):
+            d2[:, i] = ((xb - c) ** 2).sum(axis=1)
+        assign[rows] = np.argmin(d2, axis=1)
+    return assign
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator,
@@ -233,7 +266,9 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator,
     centers = [x[rng.integers(n)]]
     d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
     for _ in range(k - 1):
-        d2 = np.minimum(d2, ((x - centers[-1]) ** 2).sum(axis=1))
+        for rows in _row_blocks(*x.shape):
+            dist = ((x[rows] - centers[-1]) ** 2).sum(axis=1)
+            np.minimum(d2[rows], dist, out=d2[rows])
         total = d2.sum()
         if total <= 0:
             centers.append(x[rng.integers(n)])

@@ -218,6 +218,10 @@ _BAD_CONFIGS = {
     "hist-bins-zero": ("audit-head", None, ["--hist-bins", "0"]),
     "cool-temperature-nan": ("score", None, ["--cool-temperature", "nan"]),
     "cool-temperature-zero": ("score", None, ["--cool-temperature", "0"]),
+    "reg-nan": ("fit-gmm", None, ["--reg", "nan"]),
+    "reg-infinite": ("fit-gmm", None, ["--reg", "inf"]),
+    "rel-tol-nan": ("fit-gmm", None, ["--rel-tol", "nan"]),
+    "rel-tol-infinite": ("fit-gmm", None, ["--rel-tol", "inf"]),
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -5,7 +7,8 @@ from scipy.stats import multivariate_normal
 
 from oodkit.core import FeatureMatrix, LabelVector
 from oodkit.errors import ConfigError, DimensionError, SingularModelError
-from oodkit.gmm import EmConfig, GaussianMixture, _kmeans_pp_init, fit_em
+from oodkit.gmm import (_BLOCK_BYTES, EmConfig, GaussianMixture, _kmeans_pp_init,
+                        _nearest_center, _row_blocks, fit_em)
 
 
 def _two_blob_data(n_per=150, seed=0):
@@ -28,6 +31,11 @@ class TestConfig:
             EmConfig(reg=-1.0)
         with pytest.raises(ConfigError):
             EmConfig(init="random")
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError):
+                EmConfig(rel_tol=value)
+            with pytest.raises(ConfigError):
+                EmConfig(reg=value)
 
 
 class TestGaussianMixtureModel:
@@ -84,9 +92,9 @@ class TestGaussianMixtureModel:
                             [np.array([[1.0, 2.0], [2.0, 1.0]])])
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(SingularModelError):
-            GaussianMixture([1.0], [[0.0, 0.0]],
-                            [np.array([[1.0, 0.5], [0.0, 1.0]])])
+        for cov in ([[1.0, 0.5], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+            with pytest.raises(SingularModelError):
+                GaussianMixture([1.0], [[0.0, 0.0]], [cov])
 
     def test_json_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -127,8 +135,13 @@ def _kmeans_pp_init_reference(x, k, rng, n_iter=10):
     return np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
 
 
+def _block_rows(h):
+    return _BLOCK_BYTES // (8 * h)
+
+
 def _component_log_densities_reference(gmm, x):
-    """The per-component loop that component_log_densities replaced."""
+    """The per-component loop over the whole batch that
+    component_log_densities replaced."""
     x = gmm._maybe_log(np.atleast_2d(x))
     out = np.empty((x.shape[0], gmm.k_components))
     for i, L in enumerate(gmm._chols):
@@ -147,12 +160,40 @@ class TestComponentLogDensities:
         log_transform = seed % 2 == 1
         means = rng.standard_normal((k, h)) + (3.0 if log_transform else 0.0)
         gmm = GaussianMixture(np.full(k, 1.0 / k), means, covs, log_transform=log_transform)
-        for n in (1, 2, 500):
-            x = rng.standard_normal((n, h)) * rng.uniform(0.1, 3.0)
-            if log_transform:
-                x = np.exp(x)
-            np.testing.assert_array_equal(gmm.component_log_densities(x),
-                                          _component_log_densities_reference(gmm, x))
+        step = _block_rows(h)
+        x = rng.standard_normal((2 * step + 1, h)) * rng.uniform(0.1, 3.0)
+        if log_transform:
+            x = np.exp(x)
+        expected = _component_log_densities_reference(gmm, x)
+        # one row, one block, several blocks, and several with a 1-row tail
+        for n in (1, 2, 500, 2 * step, 2 * step + 1):
+            np.testing.assert_array_equal(gmm.component_log_densities(x[:n]), expected[:n])
+
+    # 2048 rows of H=64 float64 are 1 MiB; a huge H still gets 2-row blocks.
+    @pytest.mark.parametrize("n, h, sizes", [
+        (0, 64, []), (1, 64, [1]), (2, 64, [2]), (2048, 64, [2048]), (2049, 64, [2049]),
+        (2050, 64, [2048, 2]), (4097, 64, [2048, 2049]), (5000, 64, [2048, 2048, 904]),
+        (5, 10 ** 9, [2, 3]), (6, 10 ** 9, [2, 2, 2])])
+    def test_row_blocks_cover_rows_in_order(self, n, h, sizes):
+        blocks = list(_row_blocks(n, h))
+        assert [rows.stop - rows.start for rows in blocks] == sizes
+        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+
+    def test_kernels_hold_less_than_the_input(self):
+        # Whole-batch kernels peak at 80.8 MB (mahalanobis_sq) and 30.0 MB
+        # (_nearest_center) on this 25.6 MB input.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((50_000, 64))
+        gmm = _random_mixture(8)
+        centers = x[rng.choice(x.shape[0], 10, replace=False)]
+        for kernel in (gmm.mahalanobis_sq, lambda x: _nearest_center(x, centers)):
+            tracemalloc.start()
+            try:
+                kernel(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < x.nbytes
 
     def test_width_mismatch_raises(self):
         gmm = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
@@ -224,6 +265,14 @@ class TestKmeansInit:
         np.testing.assert_array_equal(
             _kmeans_pp_init(x, k, np.random.default_rng(seed)),
             _kmeans_pp_init_reference(x, k, np.random.default_rng(seed)))
+
+    def test_matches_reference_over_several_blocks(self):
+        rng = np.random.default_rng(6)
+        n = 2 * _block_rows(64) + 904  # two full blocks and a partial one
+        x = rng.standard_normal((n, 64)) + 3.0 * rng.integers(0, 4, (n, 1))
+        np.testing.assert_array_equal(
+            _kmeans_pp_init(x, 5, np.random.default_rng(6)),
+            _kmeans_pp_init_reference(x, 5, np.random.default_rng(6)))
 
 
 class TestFitEm:
