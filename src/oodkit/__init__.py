@@ -23,7 +23,6 @@ from .errors import (
     DataFormatError,
     DegenerateWeightError,
     DimensionError,
-    NotFittedError,
     NumericalError,
     OodkitError,
     SingularModelError,

@@ -7,9 +7,9 @@ Configuration is a JSON/flag hybrid: ``--config file.json`` supplies values,
 explicit flags override them, and the effective configuration is always
 echoed to the output directory so a run can be reproduced byte-for-byte.
 Each verb declares its parameters once, in ``VERBS``; that table builds the
-flags and checks every value, from a flag or from the file, against the
-parameter's type. Exit codes: 0 success, 2 configuration error, 3 I/O
-error, 4 numerical failure.
+flags, and ``core._typed_params`` checks every value, from a flag or from
+the file, against the parameter's type. Exit codes: 0 success, 2
+configuration error, 3 I/O error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -202,13 +202,10 @@ def _cmd_pca(cfg) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parameter table: verb -> (implementation, help, {key: (type, default[, help])})
-#
-# A type is int, float, bool, str, a tuple of choices, dict (a JSON object,
-# or a string holding one), or a one-element list [t]: a JSON list of t, or
-# a comma-separated string. A key whose default is None also takes null.
-# The counterfactual and depth-study keys other than "out" are the keyword
-# arguments of refnet.run_counterfactual and refnet.run_depth_study.
+# parameter table: verb -> (implementation, help, {key: (type, default[, help])}),
+# with the types of core._typed. The counterfactual and depth-study keys
+# other than "out" are the keyword arguments of refnet.run_counterfactual
+# and refnet.run_depth_study.
 # ---------------------------------------------------------------------------
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -325,40 +322,6 @@ VERBS = {
 
 # Keys whose flag is not --key with "_" turned into "-".
 _FLAGS = {"fmt": "--format", "rows": "--row"}
-# Keys that seed numpy generators, which take no negative seed.
-_SEED_KEYS = ("seed", "mass_seed", "seeds")
-
-
-def _typed(kind, value):
-    """``value`` checked against (and, for lists and dicts, parsed as)
-    ``kind``; raises ValueError when it does not fit."""
-    if isinstance(kind, tuple):
-        if value not in kind:
-            raise ValueError(f"expected one of {list(kind)}, got {value!r}")
-        return value
-    if isinstance(kind, list):
-        item = kind[0]
-        if isinstance(value, str):
-            if isinstance(item, list):
-                value = [value]
-            else:
-                return [item(v) for v in value.split(",") if v != ""]
-        if not isinstance(value, list):
-            raise ValueError(f"expected a JSON list or a comma-separated string, "
-                             f"got {value!r}")
-        return [_typed(item, v) for v in value]
-    if kind is dict:
-        if isinstance(value, str):
-            value = json.loads(value) if value else {}
-        if not isinstance(value, dict):
-            raise ValueError(f"expected a JSON object, got {value!r}")
-        return value
-    if kind is float and type(value) is int:
-        return float(value)
-    # bool is a subclass of int, so only bool keys take true or false
-    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
-        return value
-    raise ValueError(f"expected {kind.__name__}, got {value!r}")
 
 
 def _config(verb: str, args) -> dict:
@@ -369,32 +332,18 @@ def _config(verb: str, args) -> dict:
     copy holds them typed, with ``out`` joined onto the output directory.
     """
     params = VERBS[verb][2]
-    cfg = {key: spec[1] for key, spec in params.items()}
+    given = {}
     if args.config:
         with open(args.config) as f:
-            file_cfg = json.load(f)
-        if not isinstance(file_cfg, dict):
+            given = json.load(f)
+        if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(params)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in params:
-        v = getattr(args, key)
-        if v is not None:
-            cfg[key] = v
-    typed = {}
-    for key, value in cfg.items():
-        kind, default = params[key][:2]
-        try:
-            typed[key] = None if value is None and default is None else _typed(kind, value)
-            if key in _SEED_KEYS and any(seed < 0 for seed in np.ravel(typed[key])):
-                raise ValueError(f"expected non-negative seeds, got {value!r}")
-        except (ValueError, OverflowError) as e:
-            raise ConfigError(f"{key}: {e}") from e
+    given.update((key, v) for key, v in vars(args).items() if key in params and v is not None)
+    typed = core._typed_params(params, given, "config key")
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)
-    _write_json(os.path.join(outdir, f"{verb.replace('-', '_')}_effective_config.json"), cfg)
+    _write_json(os.path.join(outdir, f"{verb.replace('-', '_')}_effective_config.json"),
+                {key: given.get(key, spec[1]) for key, spec in params.items()})
     typed["out"] = os.path.join(outdir, typed["out"])
     return typed
 
@@ -432,7 +381,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFormatError, OSError, json.JSONDecodeError) as e:
+    except (DataFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
     except NumericalError as e:

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateWeightError, DimensionError, NumericalError
+from .errors import (ConfigError, DataFormatError, DegenerateWeightError, DimensionError,
+                     NumericalError)
 
 __all__ = [
     "FeatureMatrix",
@@ -34,6 +38,75 @@ __all__ = [
 
 _FEAT_MAGIC = b"FEAT"
 _FEAT_VERSION = 1
+
+
+# ---------------------------------------------------------------------------
+# Parameter tables: {key: (type, default[, help])}
+#
+# A type is int, float, bool, str, a tuple of choices, dict (a JSON object,
+# or a string holding one), or a one-element list [t]: a JSON list of t, or
+# a comma-separated string. Floats must be finite. A key whose default is
+# None also takes null, and keys ending in "seed" or "seeds" take no
+# negative value, since numpy generators reject it.
+# ---------------------------------------------------------------------------
+
+
+def _typed(kind, value):
+    """``value`` checked against (and, for lists and dicts, parsed as)
+    ``kind``; raises ValueError when it does not fit."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"expected one of {list(kind)}, got {value!r}")
+        return value
+    if isinstance(kind, list):
+        item = kind[0]
+        if isinstance(value, str):
+            value = ([value] if isinstance(item, list)
+                     else [item(v) for v in value.split(",") if v != ""])
+        if not isinstance(value, list):
+            raise ValueError(f"expected a JSON list or a comma-separated string, "
+                             f"got {value!r}")
+        return [_typed(item, v) for v in value]
+    if kind is dict:
+        if isinstance(value, str):
+            value = json.loads(value) if value else {}
+        if not isinstance(value, dict):
+            raise ValueError(f"expected a JSON object, got {value!r}")
+        return value
+    # bool is an int, so only bool keys take true or false; numpy integers
+    # and floats count as the Python number they stand for
+    if isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    if kind is int and isinstance(value, numbers.Integral):
+        return int(value)
+    if kind is float and isinstance(value, numbers.Real):
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        return float(value)
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"expected {kind.__name__}, got {value!r}")
+
+
+def _typed_params(table: dict, values: dict, what: str) -> dict:
+    """Every key of ``table`` typed from ``values`` or else its default.
+
+    A key missing from ``table``, or a value that does not fit its type,
+    raises ConfigError naming ``what`` (say "task parameter").
+    """
+    unknown = set(values) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {what}s: {sorted(unknown)}")
+    typed = {}
+    for key, (kind, default, *_) in table.items():
+        value = values.get(key, default)
+        try:
+            typed[key] = None if value is None and default is None else _typed(kind, value)
+            if key.endswith(("seed", "seeds")) and min(np.ravel(typed[key]), default=0) < 0:
+                raise ValueError(f"expected non-negative seeds, got {value!r}")
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"{what} {key}: {e}") from e
+    return typed
 
 
 def _as_f64(a) -> np.ndarray:
@@ -225,17 +298,16 @@ def save_features(path, features: FeatureMatrix, labels: LabelVector | None = No
         raise DataFormatError(f"unknown feature format {fmt!r}")
 
 
-def load_features(path, fmt: str = "csv", k: int | None = None):
-    """Read features (and labels, when present) from a CSV or binary file.
+def load_features(path):
+    """Read features (and labels, when present) from a binary file, which
+    starts with the FEAT magic, or else from a CSV file.
 
-    Returns (FeatureMatrix, LabelVector | None). ``k`` bounds the label
-    range; when omitted it is inferred as max(label) + 1.
+    Returns (FeatureMatrix, LabelVector | None); the label range k is
+    max(label) + 1.
     """
-    if fmt == "csv":
-        return _load_features_csv(path, k)
-    if fmt == "binary":
-        return _load_features_binary(path, k)
-    raise DataFormatError(f"unknown feature format {fmt!r}")
+    with open(path, "rb") as f:
+        binary = f.read(len(_FEAT_MAGIC)) == _FEAT_MAGIC
+    return _load_features_binary(path) if binary else _load_features_csv(path)
 
 
 def _save_features_csv(path, features, labels):
@@ -252,7 +324,7 @@ def _save_features_csv(path, features, labels):
             writer.writerow(row)
 
 
-def _load_features_csv(path, k):
+def _load_features_csv(path):
     with open(path, newline="") as f:
         header = next(csv.reader(f), None)
         if header is None:
@@ -287,8 +359,7 @@ def _load_features_csv(path, k):
             raise DataFormatError(f"row {lineno}: non-numeric field") from e
     features = FeatureMatrix(data)
     if has_labels:
-        kk = k if k is not None else max(labels) + 1
-        return features, LabelVector(np.array(labels), k=kk)
+        return features, LabelVector(np.array(labels), k=max(labels) + 1)
     return features, None
 
 
@@ -303,12 +374,11 @@ def _save_features_binary(path, features, labels):
             f.write(labels.labels.astype("<u4").tobytes())
 
 
-def _load_features_binary(path, k):
+def _load_features_binary(path):
     with open(path, "rb") as f:
         raw = f.read()
     buf = io.BytesIO(raw)
-    if buf.read(4) != _FEAT_MAGIC:
-        raise DataFormatError("bad magic bytes, not a feature file")
+    buf.read(len(_FEAT_MAGIC))
     header = buf.read(13)
     if len(header) != 13:
         raise DataFormatError("truncated feature header")
@@ -325,8 +395,7 @@ def _load_features_binary(path, k):
         if len(lbl_raw) != 4 * n:
             raise DataFormatError("truncated label payload")
         labels = np.frombuffer(lbl_raw, dtype="<u4").astype(np.int64)
-        kk = k if k is not None else int(labels.max()) + 1 if n else 1
-        return features, LabelVector(labels, k=kk)
+        return features, LabelVector(labels, k=int(labels.max()) + 1 if n else 1)
     return features, None
 
 

@@ -36,6 +36,3 @@ class ArgmaxTieError(NumericalError):
 class SingularModelError(NumericalError):
     """Mixture covariance is not positive definite after regularization."""
 
-
-class NotFittedError(NumericalError):
-    """Operation requires a fitted model."""

@@ -24,8 +24,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .core import FeatureMatrix, LabelVector
-from .errors import (ConfigError, DataFormatError, DimensionError, NotFittedError,
-                     SingularModelError)
+from .errors import ConfigError, DataFormatError, DimensionError, SingularModelError
 
 __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 

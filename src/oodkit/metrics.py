@@ -6,7 +6,6 @@ P(score_out > score_in) with ties counted 1/2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +76,6 @@ class AttributionReport:
             "cause3_feature_overlap": self.cause3,
             "negative_cause_flag": self.has_negative_cause,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
 
 
 def attribute(a: float, b: float, c: float, d: float) -> AttributionReport:

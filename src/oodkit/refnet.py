@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import structure
-from .core import FeatureMatrix, LabelVector, SoftmaxHead, _entropy_rows, softmax_from_logits
+from .core import (FeatureMatrix, LabelVector, SoftmaxHead, _entropy_rows, _typed_params,
+                   softmax_from_logits)
 from .errors import ConfigError, DataFormatError, DimensionError, NumericalError
 from .metrics import auroc
 
@@ -32,11 +33,26 @@ __all__ = [
     "depth_study",
     "run_counterfactual",
     "run_depth_study",
+    "TASKS",
     "TASK_KINDS",
 ]
 
-TASK_KINDS = ("gaussian_blobs", "two_d_toy", "ring_ood",
-              "uniform_hypercube_ood", "binary_grid")
+# Parameter table per task kind, {key: (type, default)}, with the types of
+# core._typed.
+TASKS = {
+    "gaussian_blobs": {"k": (int, 3), "dim": (int, 2), "n_per_class": (int, 200),
+                       "sigma": (float, 1.0), "separation": (float, 6.0), "seed": (int, 0)},
+    "ring_ood": {"n": (int, 500), "dim": (int, 2), "radius": (float, 12.0),
+                 "width": (float, 2.0), "seed": (int, 0)},
+    "uniform_hypercube_ood": {"n": (int, 500), "dim": (int, 2), "low": (float, -1.0),
+                              "high": (float, 1.0), "seed": (int, 0)},
+    "binary_grid": {"grid": (int, 9), "mode": (("classes", "uniform"), "classes"),
+                    "n": (int, 500), "k": (int, 3), "n_per_class": (int, 200),
+                    "flip_prob": (float, 0.05), "proto_seed": (int, 0), "seed": (int, 0)},
+}
+TASK_KINDS = tuple(TASKS)
+# The binary_grid keys that only one mode reads; the other mode rejects them.
+_GRID_MODE_KEYS = {"uniform": {"n"}, "classes": {"k", "n_per_class", "flip_prob", "proto_seed"}}
 
 
 @dataclass(frozen=True)
@@ -84,10 +100,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        # Written so that NaN and +-inf fail them.
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and positive")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -118,28 +135,20 @@ def _blob_means(k: int, dim: int, radius: float) -> np.ndarray:
 def generate(task: SyntheticTask):
     """Draw a dataset; returns (FeatureMatrix of inputs, LabelVector | None).
 
-    Deterministic for a given seed parameter.
+    ``task.params`` are checked against ``TASKS[task.kind]``. Deterministic
+    for a given seed parameter.
     """
-    p = dict(task.params)
-    seed = _pop(p, "seed", int, 0)
-    if seed < 0:
-        raise ConfigError(f"task seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    p = _typed_params(TASKS[task.kind], task.params, "task parameter")
+    rng = np.random.default_rng(p["seed"])
 
-    if task.kind in ("gaussian_blobs", "two_d_toy"):
-        k = _pop(p, "k", int, 3)
-        dim = _pop(p, "dim", int, 2)
-        n_per_class = _pop(p, "n_per_class", int, 200)
-        sigma = _pop(p, "sigma", float, 1.0)
-        separation = _pop(p, "separation", float, 6.0)
-        _reject_unknown(p)
-        # Written so that NaN and infinity fail it.
-        if not (k >= 2 and dim >= 1 and n_per_class >= 1 and 0 < sigma < np.inf
-                and 0 < separation < np.inf):
+    if task.kind == "gaussian_blobs":
+        k, dim, n_per_class, sigma = p["k"], p["dim"], p["n_per_class"], p["sigma"]
+        if not (k >= 2 and dim >= 1 and n_per_class >= 1 and sigma > 0
+                and p["separation"] > 0):
             raise ConfigError("invalid blob parameters")
         # Circle radius such that adjacent means sit `separation` sigmas apart.
         chord = 2.0 * np.sin(np.pi / k) if k > 1 and dim > 1 else 2.0 / max(k - 1, 1)
-        radius = separation * sigma / chord
+        radius = p["separation"] * sigma / chord
         means = _blob_means(k, dim, radius)
         x = np.concatenate([
             means[i] + sigma * rng.standard_normal((n_per_class, dim))
@@ -150,47 +159,35 @@ def generate(task: SyntheticTask):
         return FeatureMatrix(x[perm]), LabelVector(y[perm], k=k)
 
     if task.kind == "ring_ood":
-        n = _pop(p, "n", int, 500)
-        dim = _pop(p, "dim", int, 2)
-        radius = _pop(p, "radius", float, 12.0)
-        width = _pop(p, "width", float, 2.0)
-        _reject_unknown(p)
-        if not (n >= 1 and dim >= 1 and 0 < radius < np.inf and 0 <= width < np.inf):
+        n, dim = p["n"], p["dim"]
+        if not (n >= 1 and dim >= 1 and p["radius"] > 0 and p["width"] >= 0):
             raise ConfigError("invalid ring parameters")
         dirs = rng.standard_normal((n, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        r = radius + width * rng.random(n)
+        r = p["radius"] + p["width"] * rng.random(n)
         return FeatureMatrix(dirs * r[:, None]), None
 
     if task.kind == "uniform_hypercube_ood":
-        n = _pop(p, "n", int, 500)
-        dim = _pop(p, "dim", int, 2)
-        low = _pop(p, "low", float, -1.0)
-        high = _pop(p, "high", float, 1.0)
-        _reject_unknown(p)
+        n, dim, low, high = p["n"], p["dim"], p["low"], p["high"]
         if n < 1 or dim < 1 or not 0 < high - low < np.inf:
             raise ConfigError("invalid hypercube parameters")
         return FeatureMatrix(rng.uniform(low, high, size=(n, dim))), None
 
     # binary_grid: per-class binary prototypes with pixel-flip noise, or a
     # uniform Bernoulli(0.5) sampler over the grid.
-    grid = _pop(p, "grid", int, 9)
-    mode = p.pop("mode", "classes")
-    if mode == "uniform":
-        n = _pop(p, "n", int, 500)
-        _reject_unknown(p)
-        if n < 1 or grid < 1:
+    grid = p["grid"]
+    other = "classes" if p["mode"] == "uniform" else "uniform"
+    stray = sorted(set(task.params) & _GRID_MODE_KEYS[other])
+    if stray:
+        raise ConfigError(f"task parameters {stray} do not apply to mode {p['mode']!r}")
+    if p["mode"] == "uniform":
+        if p["n"] < 1 or grid < 1:
             raise ConfigError("invalid grid parameters")
-        return FeatureMatrix(rng.integers(0, 2, size=(n, grid * grid)).astype(float)), None
-    k = _pop(p, "k", int, 3)
-    n_per_class = _pop(p, "n_per_class", int, 200)
-    flip_prob = _pop(p, "flip_prob", float, 0.05)
-    proto_seed = _pop(p, "proto_seed", int, 0)
-    _reject_unknown(p)
-    if (k < 2 or n_per_class < 1 or not 0.0 <= flip_prob < 0.5 or grid < 1
-            or proto_seed < 0):
+        return FeatureMatrix(rng.integers(0, 2, size=(p["n"], grid * grid)).astype(float)), None
+    k, n_per_class, flip_prob = p["k"], p["n_per_class"], p["flip_prob"]
+    if k < 2 or n_per_class < 1 or not 0.0 <= flip_prob < 0.5 or grid < 1:
         raise ConfigError("invalid grid parameters")
-    proto_rng = np.random.default_rng(proto_seed)
+    proto_rng = np.random.default_rng(p["proto_seed"])
     protos = proto_rng.integers(0, 2, size=(k, grid * grid))
     x = np.concatenate([
         np.abs(protos[i] - (rng.random((n_per_class, grid * grid)) < flip_prob))
@@ -199,23 +196,6 @@ def generate(task: SyntheticTask):
     y = np.repeat(np.arange(k), n_per_class)
     perm = rng.permutation(x.shape[0])
     return FeatureMatrix(x[perm]), LabelVector(y[perm], k=k)
-
-
-def _pop(params: dict, key: str, kind, default):
-    """params.pop(key, default) converted by kind; a value that kind cannot
-    convert (a word for a number, null, NaN or infinity for an int) raises
-    ConfigError."""
-    value = params.pop(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"task parameter {key}: expected {kind.__name__}, "
-                          f"got {value!r}") from e
-
-
-def _reject_unknown(leftover: dict) -> None:
-    if leftover:
-        raise ConfigError(f"unknown task parameters: {sorted(leftover)}")
 
 
 class MlpModel:
@@ -242,6 +222,9 @@ class MlpModel:
                 raise DimensionError(f"layer {i} shape mismatch")
         if self.head_w.shape != (spec.h, spec.k) or self.head_b.shape != (spec.k,):
             raise DimensionError("head shape does not match spec")
+        if not all(np.isfinite(a).all() for a in
+                   self.weights + self.biases + [self.head_w, self.head_b]):
+            raise NumericalError("model parameters hold a non-finite value")
 
     @classmethod
     def init(cls, spec: MlpSpec, seed: int = 0,
@@ -329,8 +312,8 @@ class MlpModel:
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
         """Rebuild a saved model; a payload with a missing key, a non-integer
-        k, a non-boolean flag, or a field that is non-numeric or of the wrong
-        shape raises DataFormatError."""
+        k, a non-boolean flag, or a field that is non-numeric, non-finite or
+        of the wrong shape raises DataFormatError."""
         if not isinstance(d, dict):
             raise DataFormatError("model file must hold a JSON object")
         if d.get("format_version") != cls.FORMAT_VERSION:
@@ -349,7 +332,7 @@ class MlpModel:
                            flags["linear_features"])
             return cls(spec, d["weights"], d["biases"], d["head_w"], d["head_b"],
                        head_frozen=flags["head_frozen"])
-        except (TypeError, ValueError, DimensionError) as e:
+        except (TypeError, ValueError, DimensionError, NumericalError) as e:
             raise DataFormatError(f"model file holds a malformed field: {e}") from e
 
     @classmethod
@@ -429,7 +412,8 @@ def train_stack(datasets, spec: MlpSpec, cfgs) -> list:
     and one update of the whole stack. The result is bitwise the one of
     training each model alone with ``train``. All pairs must share n, epochs,
     batch size, learning rate and weight decay. Raises NumericalError as
-    soon as any model's loss is not finite.
+    soon as any model's loss is not finite, or when the last update leaves a
+    parameter non-finite.
     """
     if len(cfgs) == 0 or len(datasets) != len(cfgs):
         raise ConfigError("a training stack needs one dataset per config and at least one")
@@ -533,7 +517,7 @@ def confidence_sweep(model: MlpModel, sampler: SyntheticTask, n_samples: int,
     if n_samples < top_m * model.spec.k:
         raise ConfigError("n_samples must be >= top_m * K")
     state = SweepState(model, top_m)
-    seed = _pop(dict(sampler.params), "seed", int, 0)
+    seed = _typed_params(TASKS[sampler.kind], sampler.params, "task parameter")["seed"]
     done = 0
     chunk_idx = 0
     while done < n_samples:
@@ -559,8 +543,7 @@ def _summary(name: str, values) -> dict:
 
 
 def depth_study(train_data, test_data, ood_features: FeatureMatrix,
-                depths, width: int, cfg: TrainConfig, seeds,
-                activation: str = "relu", k: int | None = None):
+                depths, width: int, cfg: TrainConfig, seeds, activation: str = "relu"):
     """One model per (depth, seed), the seeds of one depth trained as one
     stack; reports in-distribution test accuracy and softmax-entropy AUROC
     against the OOD set, with mean and standard error over seeds.
@@ -568,15 +551,13 @@ def depth_study(train_data, test_data, ood_features: FeatureMatrix,
     Returns a list of row dicts ordered by depth.
     """
     train_x, train_y = train_data
-    if k is None:
-        k = train_y.k
     if len(seeds) == 0:
         raise ConfigError("depth study needs at least one seed")
     if any(depth < 1 for depth in depths):
         raise ConfigError("depth must be >= 1")
     rows = []
     for depth in depths:
-        spec = MlpSpec((train_x.h,) + (width,) * depth, activation, k)
+        spec = MlpSpec((train_x.h,) + (width,) * depth, activation, train_y.k)
         models = train_stack([(train_x, train_y)] * len(seeds), spec,
                              [replace(cfg, seed=int(seed)) for seed in seeds])
         accs = [model.accuracy(*test_data) for model in models]

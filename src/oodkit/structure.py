@@ -7,7 +7,6 @@ norm/bias/angle audit applied to trained heads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +35,14 @@ class OptimalStructureSpec:
     k: int
     h: int
     c1: float = 1.0  # weight norm
-    c3: float = 5.0  # cluster-to-weight scale for synthetic features
 
     def __post_init__(self):
         if self.k < 2:
             raise ConfigError("k must be >= 2")
         if self.h < self.k - 1:
             raise ConfigError("equiangular construction needs h >= k - 1")
-        if self.c1 <= 0:
-            raise ConfigError("c1 must be > 0")
+        if not 0 < self.c1 < np.inf:  # NaN fails it too
+            raise ConfigError("c1 must be finite and > 0")
 
 
 def _random_orthonormal_map(h: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,8 +87,8 @@ def gen_counterfactual_head(kind: str, k: int = 3, h: int = 2, seed: int = 0,
         raise ConfigError("counterfactual heads need h >= 2")
     if kind not in COUNTERFACTUAL_KINDS:
         raise ConfigError(f"unknown counterfactual kind {kind!r}")
-    if c <= 0:
-        raise ConfigError("c must be > 0")
+    if not 0 < c < np.inf:  # NaN fails it too
+        raise ConfigError("c must be finite and > 0")
     w2d = np.zeros((2, 3))
     b = np.zeros(3)
     if kind == "sandwich":
@@ -139,9 +137,6 @@ class StructureReport:
             "cos_hist_edges": self.cos_hist_edges.tolist(),
             "cos_hist_counts": self.cos_hist_counts.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
 
 
 def audit_head(head: SoftmaxHead, hist_bins: int = 20) -> StructureReport:

@@ -82,6 +82,19 @@ class TestScore:
         assert len(scores["u_density"]) == 360
         assert all(np.isfinite(scores["u_density"]))
 
+    def test_binary_features_score_like_their_csv(self, tmp_path):
+        head = gen_optimal_head(OptimalStructureSpec(k=3, h=2, c1=1.5), seed=3)
+        fm, lv = synthesize_cluster_features(head, c3=4.0, n_per_class=50, noise=0.3, seed=3)
+        fm = FeatureMatrix(fm.data.astype(np.float32))  # what a binary file can hold
+        save_head(tmp_path / "head.csv", head)
+        for fmt in ("csv", "binary"):
+            save_features(tmp_path / f"f.{fmt}", fm, lv, fmt=fmt)
+            assert _run("score", "--outdir", str(tmp_path / fmt),
+                        "--features", str(tmp_path / f"f.{fmt}"),
+                        "--head", str(tmp_path / "head.csv")) == EXIT_OK
+        scores = (tmp_path / "csv" / "scores.csv").read_bytes()
+        assert scores == (tmp_path / "binary" / "scores.csv").read_bytes()
+
 
 class TestRegion:
     def test_linear_region_with_mass(self, tmp_path):
@@ -169,6 +182,14 @@ _BAD_MIXTURES = {
 
 _MODEL = MlpModel.init(MlpSpec((2, 4), "relu", 3)).to_dict()
 
+
+def _model_with(key, index, value):
+    """_MODEL with ``value`` at ``index`` of the array under ``key``."""
+    arr = np.array(_MODEL[key])
+    arr[index] = value
+    return {**_MODEL, key: arr.tolist()}
+
+
 _BAD_MODELS = {
     "not-an-object": [_MODEL],
     "missing-key": {k: v for k, v in _MODEL.items() if k != "head_w"},
@@ -176,6 +197,8 @@ _BAD_MODELS = {
     "non-numeric": {**_MODEL, "head_b": ["a", 0.0, 0.0]},
     "layer-shape": {**_MODEL, "weights": [[[1.0, 0.0, 0.0]] * 2]},
     "flag-string": {**_MODEL, "linear_features": "false"},
+    "head-weight-nan": _model_with("head_w", (0, 0), float("nan")),
+    "hidden-weight-infinite": _model_with("weights", (0, 0, 0), float("inf")),
 }
 
 # (verb, config file payload or None, flags): each is a configuration error
@@ -222,6 +245,22 @@ _BAD_CONFIGS = {
     "reg-infinite": ("fit-gmm", None, ["--reg", "inf"]),
     "rel-tol-nan": ("fit-gmm", None, ["--rel-tol", "nan"]),
     "rel-tol-infinite": ("fit-gmm", None, ["--rel-tol", "inf"]),
+    "task-param-float-for-int": ("train-toy", None, ["--task-params", '{"k": 2.9}']),
+    "task-param-bool-for-int": ("train-toy", None, ["--task-params", '{"n_per_class": true}']),
+    "task-param-string-for-int": ("train-toy", None, ["--task-params", '{"dim": "2"}']),
+    "task-param-mode-typo": ("train-toy", None, ["--task", "binary_grid",
+                                                 "--task-params", '{"mode": "unifrom"}']),
+    "uniform-grid-given-k": ("sweep", None, ["--sampler", "binary_grid", "--sampler-params",
+                                             '{"mode": "uniform", "k": 3}']),
+    "learning-rate-nan": ("train-toy", None, ["--learning-rate", "nan"]),
+    "learning-rate-nan-file": ("train-toy", {"learning_rate": float("nan")}, []),
+    "weight-decay-infinite": ("train-toy", None, ["--weight-decay", "inf"]),
+    "c1-infinite": ("gen-head", None, ["--c1", "inf"]),
+    "c-nan": ("gen-head", None, ["--kind", "sandwich", "--c", "nan"]),
+    "counterfactual-c1-nan": ("counterfactual", None, ["--c1", "nan"]),
+    "depth-study-learning-rate-nan": ("depth-study", None, ["--learning-rate", "nan",
+                                                            "--epochs", "1",
+                                                            "--n-per-class", "10"]),
 }
 
 
@@ -286,6 +325,18 @@ class TestExitCodes:
                     "--features", str(tmp_path / "f.csv"), "--mass-samples", "1000",
                     "--outdir", str(tmp_path / "out")) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical error:")
+
+    # bytes that are not UTF-8, in a config file and in a feature CSV
+    @pytest.mark.parametrize("flags", [
+        ["gen-head", "--config", "bad.json"],
+        ["pca", "--features", "bad.csv"],
+    ], ids=["config", "features"])
+    def test_undecodable_file_is_io_error(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_bytes(b'{"k": 3\xff}')
+        (tmp_path / "bad.csv").write_bytes(b"h0,h1\n1.0,2\xff\n")
+        assert _run(*flags, "--outdir", str(tmp_path / "out")) == EXIT_IO
+        assert capsys.readouterr().err.startswith("io error:")
 
     @pytest.mark.parametrize("case", list(_BAD_MIXTURES))
     def test_mixture_file_missing_key(self, tmp_path, case):

@@ -1,6 +1,10 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from oodkit.cli import VERBS
 from oodkit.core import (
     FeatureMatrix,
     LabelVector,
@@ -12,14 +16,19 @@ from oodkit.core import (
     save_features,
     save_head,
     softmax,
+    _typed_params,
     softmax_from_logits,
 )
 from oodkit.errors import (
+    ConfigError,
     DataFormatError,
     DegenerateWeightError,
     DimensionError,
     NumericalError,
 )
+from oodkit.gmm import EmConfig
+from oodkit.refnet import (TASKS, MlpSpec, SyntheticTask, TrainConfig, generate,
+                           run_counterfactual, run_depth_study)
 
 
 class TestContainers:
@@ -139,7 +148,7 @@ class TestFeatureFiles:
         fm, lv = self._data()
         p = tmp_path / "f.csv"
         save_features(p, fm, lv, fmt="csv")
-        fm2, lv2 = load_features(p, fmt="csv")
+        fm2, lv2 = load_features(p)
         np.testing.assert_array_equal(fm2.data, fm.data)
         np.testing.assert_array_equal(lv2.labels, lv.labels)
         assert lv2.k == 3
@@ -156,7 +165,7 @@ class TestFeatureFiles:
         fm, lv = self._data()  # float32-representable values
         p = tmp_path / "f.bin"
         save_features(p, fm, lv, fmt="binary")
-        fm2, lv2 = load_features(p, fmt="binary")
+        fm2, lv2 = load_features(p)
         np.testing.assert_array_equal(fm2.data, fm.data)
         np.testing.assert_array_equal(lv2.labels, lv.labels)
 
@@ -221,13 +230,13 @@ class TestFeatureFiles:
         for cut in [raw[:-5]] + [raw[:4 + m] for m in range(13)]:
             (tmp_path / "cut.bin").write_bytes(cut)
             with pytest.raises(DataFormatError):
-                load_features(tmp_path / "cut.bin", fmt="binary")
+                load_features(tmp_path / "cut.bin")
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOPE" + b"\0" * 20)
         with pytest.raises(DataFormatError):
-            load_features(p, fmt="binary")
+            load_features(p)
 
     def test_unknown_format_rejected(self, tmp_path):
         fm, _ = self._data()
@@ -251,3 +260,61 @@ class TestHeadFiles:
         p.write_text("1.0,2.0\n")
         with pytest.raises(DataFormatError):
             load_head(p)
+
+
+class TestParameterTables:
+    """The one checker behind CLI flags, config files and task parameters."""
+
+    def test_every_default_passes_the_checker(self):
+        for verb, (_, _, params) in VERBS.items():
+            _typed_params(params, {}, "config key")
+        for kind, table in TASKS.items():
+            _typed_params(table, {}, "task parameter")
+            features, _ = generate(SyntheticTask(kind))
+            assert features.n >= 1
+
+    def test_experiment_defaults_match_the_drivers(self):
+        for verb, driver in (("counterfactual", run_counterfactual),
+                             ("depth-study", run_depth_study)):
+            params = VERBS[verb][2]
+            signature = inspect.signature(driver).parameters
+            assert set(signature) == set(params) - {"out"}
+            for name, p in signature.items():
+                if p.default is not p.empty:
+                    assert params[name][1] == p.default, (verb, name)
+
+    @pytest.mark.parametrize("verb, config, names", [
+        ("fit-gmm", EmConfig, None),
+        ("train-toy", TrainConfig, None),
+        ("train-toy", MlpSpec, ("activation", "k")),
+    ])
+    def test_verb_defaults_match_the_config_classes(self, verb, config, names):
+        params = VERBS[verb][2]
+        fields = {f.name: f.default for f in dataclasses.fields(config)}
+        for name in names or fields:
+            assert params[name][1] == fields[name], (verb, name)
+
+    @pytest.mark.parametrize("kind, value", [
+        (int, 2.9), (int, True), (int, "2"), (float, float("nan")), (float, float("inf")),
+        (float, -np.inf), ([float], "1.0,nan"), ([[float]], [[0.5, np.inf]]), (bool, 0),
+        (("a", "b"), "c"), (dict, "[1]"),
+    ])
+    def test_misfits_are_config_errors(self, kind, value):
+        with pytest.raises(ConfigError, match="thing x: expected"):
+            _typed_params({"x": (kind, None)}, {"x": value}, "thing")
+
+    def test_numpy_scalars_count_as_numbers(self):
+        typed = _typed_params({"n": (int, 1), "r": (float, 1.0)},
+                              {"n": np.int64(4), "r": np.float64(2.5)}, "thing")
+        assert typed == {"n": 4, "r": 2.5}
+        assert type(typed["n"]) is int and type(typed["r"]) is float
+
+    def test_defaults_null_unknown_keys_and_seeds(self):
+        table = {"seed": (int, 0), "seeds": ([int], "1,2"), "path": (str, None)}
+        assert _typed_params(table, {}, "thing") == {"seed": 0, "seeds": [1, 2], "path": None}
+        assert _typed_params(table, {"path": None}, "thing")["path"] is None
+        with pytest.raises(ConfigError, match="unknown things"):
+            _typed_params(table, {"sed": 1}, "thing")
+        for bad in ({"seed": -1}, {"seeds": [0, -2]}, {"seed": None}):
+            with pytest.raises(ConfigError):
+                _typed_params(table, bad, "thing")

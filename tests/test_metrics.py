@@ -95,7 +95,7 @@ class TestAttribution:
 
     def test_serialization(self):
         rep = attribute(0.8, 0.85, 0.9, 0.95)
-        d = json.loads(rep.to_json())
+        d = json.loads(json.dumps(rep.to_dict()))
         assert d["cause1_saturation"] == pytest.approx(0.05)
         assert d["negative_cause_flag"] is False
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodkit.core import FeatureMatrix, LabelVector, SoftmaxHead
-from oodkit.errors import ConfigError, DimensionError, NumericalError
+from oodkit.errors import ConfigError, DataFormatError, DimensionError, NumericalError
 from oodkit.refnet import (
     MlpModel,
     MlpSpec,
@@ -95,6 +95,16 @@ class TestGenerators:
         with pytest.raises(ConfigError):
             generate(_blob_task(sigma=-1.0))
 
+    @pytest.mark.parametrize("params", [
+        {"mode": "uniform", "k": 3},
+        {"mode": "uniform", "proto_seed": 1},
+        {"n": 10},
+        {"mode": "classes", "n": 10},
+    ])
+    def test_grid_rejects_the_other_modes_keys(self, params):
+        with pytest.raises(ConfigError, match="do not apply"):
+            generate(SyntheticTask("binary_grid", params))
+
 
 class TestMlpSpec:
     def test_properties(self):
@@ -174,10 +184,12 @@ class TestTraining:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(weight_decay=-1e-3)
+        for lr in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                TrainConfig(learning_rate=lr)
+        for decay in (-1e-3, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                TrainConfig(weight_decay=decay)
 
 
 class TestTrainStack:
@@ -225,6 +237,14 @@ class TestTrainStack:
         train(data, spec, cfg)
         with pytest.raises(NumericalError):
             train_stack([data, huge, data], spec, [cfg, cfg, replace(cfg, seed=1)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameters_after_the_last_step_raise(self):
+        # one step: its loss is finite, but the step overflows the parameters
+        data = generate(_blob_task(seed=0, n_per_class=10, separation=60.0))
+        spec = MlpSpec((2, 16), activation="relu", k=3)
+        with pytest.raises(NumericalError, match="model parameters"):
+            train_stack([data], spec, [TrainConfig(epochs=1, learning_rate=1.7e308)])
 
     def test_shared_schedule_and_nonempty_stack(self):
         data = generate(_blob_task(n_per_class=20))
@@ -294,6 +314,18 @@ class TestPersistence:
     def test_unknown_version_rejected(self):
         with pytest.raises(ConfigError):
             MlpModel.from_dict({"format_version": 0})
+
+    @pytest.mark.parametrize("key", ["weights", "biases", "head_w", "head_b"])
+    def test_non_finite_parameters_rejected(self, key):
+        spec = MlpSpec((2, 4), k=3)
+        d = MlpModel.init(spec).to_dict()
+        bad = np.array(d[key])
+        bad.flat[0] = np.nan
+        d[key] = bad.tolist()
+        with pytest.raises(NumericalError):
+            MlpModel(spec, d["weights"], d["biases"], d["head_w"], d["head_b"])
+        with pytest.raises(DataFormatError):
+            MlpModel.from_dict(d)
 
 
 class TestConfidenceSweep:

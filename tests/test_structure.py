@@ -59,8 +59,9 @@ class TestOptimalHead:
             OptimalStructureSpec(k=1, h=2)
         with pytest.raises(ConfigError):
             OptimalStructureSpec(k=5, h=3)
-        with pytest.raises(ConfigError):
-            OptimalStructureSpec(k=3, h=2, c1=0.0)
+        for c1 in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                OptimalStructureSpec(k=3, h=2, c1=c1)
 
 
 class TestCounterfactualHeads:
@@ -107,8 +108,9 @@ class TestCounterfactualHeads:
             gen_counterfactual_head("sandwich", k=4)
         with pytest.raises(ConfigError):
             gen_counterfactual_head("sandwich", h=1)
-        with pytest.raises(ConfigError):
-            gen_counterfactual_head("sandwich", c=-1.0)
+        for c in (-1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                gen_counterfactual_head("sandwich", c=c)
 
 
 class TestAudit:
@@ -139,7 +141,7 @@ class TestAudit:
     def test_json_round_trips_fields(self):
         import json
         rep = audit_head(gen_counterfactual_head("stack"))
-        d = json.loads(rep.to_json())
+        d = json.loads(json.dumps(rep.to_dict()))
         assert d["target_cos"] == pytest.approx(-0.5)
         assert len(d["pairwise_cos"]) == 3
 
