@@ -293,7 +293,8 @@ VERBS = {
     }),
     "sweep": (_cmd_sweep, "keep the most confident sampler inputs per class", {
         "model": (str, "model.json"),
-        "sampler": (refnet.TASK_KINDS, "uniform_hypercube_ood"),
+        "sampler": (tuple(kind for kind, keys in refnet.TASKS.items() if "n" in keys),
+                    "uniform_hypercube_ood"),  # confidence_sweep sets each draw's n
         "sampler_params": (dict, None),
         "n_samples": (int, 4096),
         "top_m": (int, 10),
@@ -376,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        VERBS[args.verb][0](_config(args.verb, args))
+        # Non-finite results raise the typed errors below; numpy's warnings add lines.
+        with np.errstate(all="ignore"):
+            VERBS[args.verb][0](_config(args.verb, args))
         return EXIT_OK
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

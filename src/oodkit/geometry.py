@@ -9,11 +9,11 @@ as the oracle for all of them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtri, erf
 
 from .core import FeatureMatrix, SoftmaxHead, _logits_rows, softmax_from_logits
 from .errors import ConfigError, NumericalError
@@ -98,8 +98,8 @@ def _gaussian_mass_outside_slab(mixture: GaussianMixture, w: np.ndarray,
     """Mass of the mixture outside the slab c_lo < w.z < c_hi."""
     total = 0.0
     for weight, m, s in zip(mixture.weights, *_projected_moments(mixture, w)):
-        below = 0.5 * (1.0 + erf((c_lo - m) / (np.sqrt(2.0) * s)))
-        above = 0.5 * (1.0 - erf((c_hi - m) / (np.sqrt(2.0) * s)))
+        below = 0.5 * (1.0 + math.erf((c_lo - m) / (np.sqrt(2.0) * s)))
+        above = 0.5 * (1.0 - math.erf((c_hi - m) / (np.sqrt(2.0) * s)))
         total += weight * (below + above)
     return total
 
@@ -111,7 +111,7 @@ def check_linear_separability(mixture: GaussianMixture, w: np.ndarray,
     """
     ok = True
     for m, s in zip(*_projected_moments(mixture, w)):
-        tail = 0.5 * (1.0 - erf(abs(m - boundary_offset) / (np.sqrt(2.0) * s)))
+        tail = 0.5 * (1.0 - math.erf(abs(m - boundary_offset) / (np.sqrt(2.0) * s)))
         ok &= tail < SEPARABILITY_TAIL
     return ok
 
@@ -301,6 +301,15 @@ class DensityRegion:
                 "thresholds": self.thresholds.tolist()}
 
 
+def _chi2_sf(x: float, h: int) -> float:
+    """P(chi2_h > x) (Abramowitz & Stegun 26.4.4-5): for y = x/2, erfc(sqrt y) if h is
+    odd, plus y^a e^-y / Gamma(a + 1) for a = h/2 - 1, h/2 - 2, ... >= 0, from log space."""
+    y = x / 2.0
+    tail = math.erfc(math.sqrt(y)) if h % 2 else 0.0
+    return tail + math.fsum(math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+                            for a in (h % 2 / 2.0 + j for j in range(h // 2)))
+
+
 def density_region(gmm: GaussianMixture, epsilon: float) -> DensityRegion:
     """Per-component chi-square thresholds at level 1 - epsilon.
 
@@ -309,18 +318,19 @@ def density_region(gmm: GaussianMixture, epsilon: float) -> DensityRegion:
     """
     if not 0.0 < epsilon < 1.0:
         raise ConfigError("epsilon must lie in (0, 1)")
-    c = chdtri(gmm.h, epsilon)  # the chi-square (1 - epsilon)-quantile
+    # The chi-square (1 - epsilon)-quantile, bisected down to adjacent floats.
+    c = _first_crossing(lambda x: _chi2_sf(x, gmm.h), epsilon, np.finfo(float).eps)
     return DensityRegion(gmm=gmm, thresholds=np.full(gmm.k_components, c),
                          epsilon=epsilon)
 
 
-def mc_region_mass(contains, sampler, n: int = DEFAULT_MC_SAMPLES,
+def mc_region_mass(contains, sampler: GaussianMixture, n: int = DEFAULT_MC_SAMPLES,
                    seed: int = DEFAULT_MC_SEED, batch: int = 100_000) -> float:
     """Monte Carlo estimate of the sampler's mass inside the region.
 
-    ``contains`` maps an N x H batch to booleans; ``sampler`` is any object
-    with sample(n, rng), such as a GaussianMixture. Deterministic for a
-    given (seed, batch) pair.
+    ``contains`` maps an N x H batch to booleans; ``sampler`` is the
+    GaussianMixture whose sample(n, rng) draws the batches. Deterministic
+    for a given (seed, batch) pair.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")

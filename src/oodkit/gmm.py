@@ -1,14 +1,15 @@
 """Gaussian mixture density estimation with EM, full covariances, and
 log-density scoring.
 
-Responsibilities are computed in log space and all solves go through
-Cholesky factors; no covariance is ever explicitly inverted. Fitted
-mixtures are immutable and safe to share.
+Responsibilities are computed in log space. Each Sigma_i = L_i L_i^T is
+factored once, and the whitening matrix [L_1^-T ... L_K^-T] is cached
+C-contiguous (a transposed view gives bits that depend on the row count).
+Fitted mixtures are immutable and safe to share.
 
 The Gaussian kernels (``mahalanobis_sq`` and everything built on it, and
 the k-means++ distances) walk the rows in blocks of about ``_BLOCK_BYTES``
-per H-wide temporary, so their scratch memory is O(block x H), not O(N x H);
-only the N x K' outputs grow with N. Each row's result does not depend on
+per temporary (K'H wide for the whitened rows), so their scratch memory does
+not grow with N; only the N x K' outputs do. Each row's result does not depend on
 the block it falls in, so the outputs are bitwise those of one whole-batch
 pass, and a row's ``log_density`` equals its ``log_density_batch`` entry.
 The EM M-step is not blocked: its covariance products reduce over N.
@@ -21,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .core import FeatureMatrix, LabelVector
 from .errors import ConfigError, DataFormatError, DimensionError, SingularModelError
@@ -29,12 +29,12 @@ from .errors import ConfigError, DataFormatError, DimensionError, SingularModelE
 __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
-_BLOCK_BYTES = 1 << 20  # bytes per H-wide float64 temporary of a row block
+_BLOCK_BYTES = 1 << 20  # bytes per float64 temporary of a row block
 
 
 def _row_blocks(n: int, h: int):
     """Slices that cover rows 0..n-1 in order, _BLOCK_BYTES // (8 h) rows
-    each (at least 2). A 1-row tail joins the block before it, so only a
+    each (at least 2) for an h-wide temporary. A 1-row tail joins the block before it, so only a
     1-row input gives a 1-row block."""
     step = max(2, _BLOCK_BYTES // (8 * h))
     start = 0
@@ -93,11 +93,15 @@ class GaussianMixture:
         self._log_norms = np.empty(k)
         for i in range(k):
             try:
-                L = cholesky(covariances[i], lower=True)
+                L = np.linalg.cholesky(covariances[i])
             except np.linalg.LinAlgError as e:
                 raise SingularModelError(f"component {i} covariance not PD") from e
             self._chols.append(L)
             self._log_norms[i] = -0.5 * h * _LOG_2PI - np.log(np.diag(L)).sum()
+        # L^T is triangular, so solve's LU is exact: back substitution.
+        inv_t = [np.linalg.solve(L.T, np.eye(h)) for L in self._chols]
+        self._whiten = np.hstack(inv_t)
+        self._shift = np.concatenate([mean @ w for mean, w in zip(means, inv_t)])
 
     @property
     def k_components(self) -> int:
@@ -134,28 +138,25 @@ class GaussianMixture:
         if x.shape[1] != self.h:
             raise DimensionError(f"expected H={self.h} columns, got {x.shape[1]}")
         out = np.empty((x.shape[0], self.k_components))
-        for rows in _row_blocks(*x.shape):
+        for rows in _row_blocks(x.shape[0], self._whiten.shape[1]):
             xb = self._maybe_log(x[rows])
             if xb.shape[0] == 1:
-                # A one-column triangular solve takes another BLAS path; two
-                # equal columns give the bits of any larger batch.
+                # A 1-row GEMM takes the GEMV path; 2 equal rows keep the bits.
                 xb = np.repeat(xb, 2, axis=0)
-            for i, L in enumerate(self._chols):
-                y = solve_triangular(L, (xb - self.means[i]).T, lower=True,
-                                     overwrite_b=True)
-                y *= y
-                out[rows, i] = y.sum(axis=0)[:rows.stop - rows.start]
+            y = xb @ self._whiten
+            y -= self._shift
+            y *= y
+            out[rows] = y.reshape(len(y), -1, self.h).sum(axis=2)[:rows.stop - rows.start]
         return out
 
     def neg_log_density_grad(self, z) -> np.ndarray:
-        """Gradient of -log density at a single point."""
+        """Gradient of -log density at a single point, the responsibility-
+        weighted sum of Sigma_i^-1 (z - mu_i) = L_i^-T L_i^-1 (z - mu_i)."""
         z = np.asarray(z, dtype=np.float64)
         log_joint, total = self._log_joint(z[None, :])
         resp = np.exp(log_joint - total)[0]
-        zz = self._maybe_log(z[None, :])[0]
-        grad = np.zeros(self.h)
-        for i, L in enumerate(self._chols):
-            grad += resp[i] * cho_solve((L, True), zz - self.means[i])
+        y = self._maybe_log(z) @ self._whiten - self._shift
+        grad = self._whiten @ (np.repeat(resp, self.h) * y)
         if self.log_transform:
             grad = grad / z  # chain rule through the log transform
         return grad
@@ -165,10 +166,9 @@ class GaussianMixture:
 
         The stream of ``rng.multivariate_normal(method="cholesky")`` per
         component: multinomial counts, then mean + N(0, I) @ L^T, then one
-        shuffle. L comes from ``np.linalg.cholesky``, whose bits (unlike the
-        cached scipy factors) are the ones that call uses. Two n x H buffers
-        hold the whole draw: the normals, then the shifted draws, then the
-        shuffle gathered back over the normals.
+        shuffle. L is the cached ``np.linalg.cholesky`` factor, the one that
+        call uses. Two n x H buffers hold the whole draw: the normals, then
+        the shifted draws, then the shuffle gathered back over the normals.
         """
         counts = rng.multinomial(n, self.weights)
         normals = np.empty((n, self.h))
@@ -178,8 +178,7 @@ class GaussianMixture:
             if c:
                 rows = slice(start, start + c)
                 rng.standard_normal(out=normals[rows])
-                np.matmul(normals[rows], np.linalg.cholesky(self.covariances[i]).T,
-                          out=draws[rows])
+                np.matmul(normals[rows], self._chols[i].T, out=draws[rows])
                 draws[rows] += self.means[i]
                 start += c
         # mode="clip" writes straight into out; the default mode buffers it.

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from oodkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+import oodkit
+from oodkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, VERBS, main
 from oodkit.core import FeatureMatrix, LabelVector, save_features, save_head
 from oodkit.metrics import attribute
 from oodkit.refnet import MlpModel, MlpSpec
@@ -13,6 +17,15 @@ from oodkit.structure import OptimalStructureSpec, gen_optimal_head, synthesize_
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this oodkit."""
+    src = os.path.dirname(os.path.dirname(oodkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def _write_cluster_features(path, seed=0, k=3, h=2, c1=1.5, c3=4.0, n=120):
@@ -289,6 +302,17 @@ class TestExitCodes:
                     "--features", str(tmp_path / "flat.csv"),
                     "--dims", "2") == EXIT_NUMERICAL
 
+    def test_numerical_failure_prints_one_line(self, tmp_path):
+        # numpy's overflow warnings used to print before the error line
+        proc = _run_python("import sys; from oodkit.cli import main; sys.exit(main())",
+                           "train-toy", "--outdir", str(tmp_path),
+                           "--learning-rate", "1.7e308", "--epochs", "1",
+                           "--activation", "relu", "--task-params",
+                           '{"n_per_class": 10, "separation": 60}')
+        assert proc.returncode == EXIT_NUMERICAL
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("numerical error:")
+
     def test_invalid_structure_spec(self, tmp_path):
         assert _run("gen-head", "--outdir", str(tmp_path), "--kind", "optimal",
                     "--k", "5", "--h", "2") == EXIT_CONFIG
@@ -393,6 +417,19 @@ class TestTrainToyAndSweep:
             assert len(c["inputs"]) == 4
             assert sorted(c["confidences"], reverse=True) == c["confidences"]
 
+    def test_every_sampler_choice_runs(self, tmp_path):
+        # a model on 4 inputs: 4-dimensional draws, or a 2 x 2 grid
+        (tmp_path / "model.json").write_text(
+            json.dumps(MlpModel.init(MlpSpec((4, 4), "relu", 3)).to_dict()))
+        params = {"ring_ood": {"dim": 4}, "uniform_hypercube_ood": {"dim": 4},
+                  "binary_grid": {"mode": "uniform", "grid": 2}}
+        assert sorted(VERBS["sweep"][2]["sampler"][0]) == sorted(params)
+        for sampler, sampler_params in params.items():
+            assert _run("sweep", "--outdir", str(tmp_path / sampler),
+                        "--model", str(tmp_path / "model.json"), "--sampler", sampler,
+                        "--sampler-params", json.dumps(sampler_params),
+                        "--n-samples", "300", "--top-m", "2") == EXIT_OK
+
     def test_frozen_head_flag(self, tmp_path):
         assert _run("gen-head", "--outdir", str(tmp_path), "--kind", "optimal",
                     "--k", "3", "--h", "8", "--c1", "2.0",
@@ -408,6 +445,29 @@ class TestTrainToyAndSweep:
         frozen = load_head(tmp_path / "frozen.csv")
         model = MlpModel.load(tmp_path / "fm.json")
         np.testing.assert_array_equal(model.head_w, frozen.w)
+
+
+class TestNumpyOnly:
+    def test_gaussian_verbs_run_without_scipy(self, tmp_path):
+        save_head(tmp_path / "head.csv", _write_cluster_features(tmp_path / "f.csv"))
+        runs = [
+            ["fit-gmm", "--features", "f.csv"],
+            ["score", "--features", "f.csv", "--head", "head.csv", "--gmm", "gmm.json"],
+            ["region", "--kind", "linear", "--head", "head.csv", "--features", "f.csv",
+             "--mass-samples", "2000"],
+            ["region", "--kind", "density", "--gmm", "gmm.json", "--out", "dregion.json"],
+            ["counterfactual", "--seeds", "0", "--epochs", "2", "--n-per-class", "20",
+             "--n-ood", "20"],
+        ]
+        script = ("import json, os, sys\n"
+                  "sys.modules['scipy'] = None  # any scipy import now fails\n"
+                  "from oodkit.cli import main\n"
+                  "os.chdir(sys.argv[1])\n"
+                  "print(json.dumps([main(argv + ['--outdir', '.'])\n"
+                  "                  for argv in json.loads(sys.argv[2])]))\n")
+        proc = _run_python(script, str(tmp_path), json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [EXIT_OK] * len(runs), proc.stderr
 
 
 class TestReproducibility:

@@ -321,11 +321,12 @@ class TestDensityRegion:
         mass = mc_region_mass(region.contains, gmm, n=400_000, seed=17)
         assert mass == pytest.approx(eps, abs=0.003)
 
-    def test_threshold_is_chi2_quantile(self):
-        gmm = GaussianMixture([0.5, 0.5], np.zeros((2, 3)),
-                              [np.eye(3), np.eye(3)])
-        region = density_region(gmm, 0.1)
-        np.testing.assert_allclose(region.thresholds, chi2.ppf(0.9, df=3))
+    @pytest.mark.parametrize("h", [1, 3, 64, 256, 1024])
+    @pytest.mark.parametrize("eps", [1e-6, 0.05, 0.99])
+    def test_threshold_is_chi2_quantile(self, h, eps):
+        gmm = GaussianMixture([0.5, 0.5], np.zeros((2, h)), [np.eye(h), np.eye(h)])
+        region = density_region(gmm, eps)
+        np.testing.assert_allclose(region.thresholds, chi2.isf(eps, df=h), rtol=1e-12)
 
     def test_far_points_are_members(self):
         gmm = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])

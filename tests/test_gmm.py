@@ -139,14 +139,14 @@ def _block_rows(h):
     return _BLOCK_BYTES // (8 * h)
 
 
-def _component_log_densities_reference(gmm, x):
-    """The per-component loop over the whole batch that
-    component_log_densities replaced."""
+def _mahalanobis_sq_reference(gmm, x):
+    """One triangular solve (scipy's trsm) per component over the whole
+    batch, independent of the cached whitening matrix."""
     x = gmm._maybe_log(np.atleast_2d(x))
     out = np.empty((x.shape[0], gmm.k_components))
     for i, L in enumerate(gmm._chols):
         y = solve_triangular(L, (x - gmm.means[i]).T, lower=True)
-        out[:, i] = gmm._log_norms[i] - 0.5 * (y * y).sum(axis=0)
+        out[:, i] = (y * y).sum(axis=0)
     return out
 
 
@@ -160,14 +160,33 @@ class TestComponentLogDensities:
         log_transform = seed % 2 == 1
         means = rng.standard_normal((k, h)) + (3.0 if log_transform else 0.0)
         gmm = GaussianMixture(np.full(k, 1.0 / k), means, covs, log_transform=log_transform)
-        step = _block_rows(h)
-        x = rng.standard_normal((2 * step + 1, h)) * rng.uniform(0.1, 3.0)
+        step = _block_rows(k * h)  # the blocks hold K whitened copies of each row
+        x = rng.standard_normal((max(500, 2 * step + 1), h)) * rng.uniform(0.1, 3.0)
         if log_transform:
             x = np.exp(x)
-        expected = _component_log_densities_reference(gmm, x)
+        whole = gmm.component_log_densities(x)
+        expected = gmm._log_norms - 0.5 * _mahalanobis_sq_reference(gmm, x)
+        np.testing.assert_allclose(whole, expected, rtol=4 * np.finfo(float).eps, atol=0)
         # one row, one block, several blocks, and several with a 1-row tail
         for n in (1, 2, 500, 2 * step, 2 * step + 1):
-            np.testing.assert_array_equal(gmm.component_log_densities(x[:n]), expected[:n])
+            np.testing.assert_array_equal(gmm.component_log_densities(x[:n]), whole[:n])
+
+    def test_ill_conditioned_mixture_within_condition_bound(self):
+        # An explicit triangular inverse is accurate to about cond(Sigma) * u
+        # (Higham 2002, ch. 14); the triangular solves are the oracle.
+        rng = np.random.default_rng(5)
+        k, h = 3, 64
+        covs = np.empty((k, h, h))
+        for i in range(k):
+            q = np.linalg.qr(rng.standard_normal((h, h)))[0]
+            covs[i] = (q * np.logspace(0, -10, h)) @ q.T
+            covs[i] = (covs[i] + covs[i].T) / 2
+        gmm = GaussianMixture(np.full(k, 1.0 / k), rng.standard_normal((k, h)), covs)
+        kappa = max(np.linalg.cond(c) for c in covs)
+        assert 1e9 < kappa < 1e11
+        x = gmm.sample(1000, rng)
+        np.testing.assert_allclose(gmm.mahalanobis_sq(x), _mahalanobis_sq_reference(gmm, x),
+                                   rtol=kappa * np.finfo(float).eps, atol=0)
 
     # 2048 rows of H=64 float64 are 1 MiB; a huge H still gets 2-row blocks.
     @pytest.mark.parametrize("n, h, sizes", [
