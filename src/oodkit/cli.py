@@ -67,10 +67,6 @@ def _cmd_audit_head(cfg) -> None:
     _write_json(cfg["out"], report.to_dict())
 
 
-_SCORE_COLUMNS = ("sample_index", "u_max", "u_entropy", "u_cool", "u_density",
-                  "z_norm", "max_cos", "argmax_class")
-
-
 def _cmd_score(cfg) -> None:
     features, _ = core.load_features(cfg["features"])
     head = core.load_head(cfg["head"])
@@ -80,7 +76,7 @@ def _cmd_score(cfg) -> None:
     if cfg["fmt"] == "json":
         _write_json(cfg["out"], {k: np.asarray(v).tolist() for k, v in cols.items()})
         return
-    _write_csv(cfg["out"], _SCORE_COLUMNS, [cols[name] for name in _SCORE_COLUMNS])
+    _write_csv(cfg["out"], cols, cols.values())
 
 
 def _cmd_fit_gmm(cfg) -> None:
@@ -335,7 +331,7 @@ def _config(verb: str, args) -> dict:
     params = VERBS[verb][2]
     given = {}
     if args.config:
-        with open(args.config) as f:
+        with open(args.config) as f, core._file_content("config file"):
             given = json.load(f)
         if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -384,7 +380,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (DataFormatError, OSError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
     except NumericalError as e:

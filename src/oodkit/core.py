@@ -10,17 +10,18 @@ load and all arithmetic is done in 64-bit.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field
+import warnings
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, DataFormatError, DegenerateWeightError, DimensionError,
-                     NumericalError)
+                     NumericalError, OodkitError)
 
 __all__ = [
     "FeatureMatrix",
@@ -43,11 +44,13 @@ _FEAT_VERSION = 1
 # ---------------------------------------------------------------------------
 # Parameter tables: {key: (type, default[, help])}
 #
-# A type is int, float, bool, str, a tuple of choices, dict (a JSON object,
-# or a string holding one), or a one-element list [t]: a JSON list of t, or
-# a comma-separated string. Floats must be finite. A key whose default is
-# None also takes null, and keys ending in "seed" or "seeds" take no
-# negative value, since numpy generators reject it.
+# A type is int, float, bool, str, list (any JSON list, whose entries the
+# caller checks), a tuple of choices, dict (a JSON object, or a string
+# holding one), or a one-element list [t]: a JSON list of t, or a
+# comma-separated string. Floats must be finite. A default of ... marks a
+# required key, a key whose default is None also takes null, and keys
+# ending in "seed" or "seeds" take no negative value, since numpy
+# generators reject it.
 # ---------------------------------------------------------------------------
 
 
@@ -91,9 +94,12 @@ def _typed(kind, value):
 def _typed_params(table: dict, values: dict, what: str) -> dict:
     """Every key of ``table`` typed from ``values`` or else its default.
 
-    A key missing from ``table``, or a value that does not fit its type,
-    raises ConfigError naming ``what`` (say "task parameter").
+    ``values`` that are not a dict, a key missing from ``table``, a missing
+    required key, or a value that does not fit its type raise ConfigError
+    naming ``what`` (say "task parameter").
     """
+    if not isinstance(values, dict):
+        raise ConfigError(f"expected a JSON object of {what}s, got {type(values).__name__}")
     unknown = set(values) - set(table)
     if unknown:
         raise ConfigError(f"unknown {what}s: {sorted(unknown)}")
@@ -101,12 +107,27 @@ def _typed_params(table: dict, values: dict, what: str) -> dict:
     for key, (kind, default, *_) in table.items():
         value = values.get(key, default)
         try:
+            if value is ...:
+                raise ValueError("missing")
             typed[key] = None if value is None and default is None else _typed(kind, value)
             if key.endswith(("seed", "seeds")) and min(np.ravel(typed[key]), default=0) < 0:
                 raise ValueError(f"expected non-negative seeds, got {value!r}")
         except (ValueError, OverflowError) as e:
             raise ConfigError(f"{what} {key}: {e}") from e
     return typed
+
+
+@contextmanager
+def _file_content(what: str):
+    """Raise an error met while building an object from the content of a
+    ``what`` (say "head file") as DataFormatError naming it; a
+    DataFormatError passes unchanged."""
+    try:
+        yield
+    except DataFormatError:
+        raise
+    except (OodkitError, ValueError, TypeError) as e:
+        raise DataFormatError(f"{what}: {e}") from e
 
 
 def _as_f64(a) -> np.ndarray:
@@ -170,7 +191,6 @@ class SoftmaxHead:
 
     w: np.ndarray
     b: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         w = _as_f64(self.w)
@@ -307,7 +327,8 @@ def load_features(path):
     """
     with open(path, "rb") as f:
         binary = f.read(len(_FEAT_MAGIC)) == _FEAT_MAGIC
-    return _load_features_binary(path) if binary else _load_features_csv(path)
+    with _file_content("feature file"):
+        return _load_features_binary(path) if binary else _load_features_csv(path)
 
 
 def _save_features_csv(path, features, labels):
@@ -377,25 +398,25 @@ def _save_features_binary(path, features, labels):
 def _load_features_binary(path):
     with open(path, "rb") as f:
         raw = f.read()
-    buf = io.BytesIO(raw)
-    buf.read(len(_FEAT_MAGIC))
-    header = buf.read(13)
-    if len(header) != 13:
+    start = len(_FEAT_MAGIC) + 13
+    if len(raw) < start:
         raise DataFormatError("truncated feature header")
-    version, n, h, has_labels = struct.unpack("<IIIB", header)
+    version, n, h, has_labels = struct.unpack("<IIIB", raw[len(_FEAT_MAGIC):start])
     if version != _FEAT_VERSION:
         raise DataFormatError(f"unsupported feature file version {version}")
-    body = buf.read(4 * n * h)
+    # a slice takes sizes past the index range, so a header that claims
+    # 2**32 - 1 rows and columns reads as a truncated payload
+    stop = start + 4 * n * h
+    body = raw[start:stop]
     if len(body) != 4 * n * h:
         raise DataFormatError("truncated feature payload")
-    data = np.frombuffer(body, dtype="<f4").reshape(n, h).astype(np.float64)
-    features = FeatureMatrix(data)
+    features = FeatureMatrix(np.frombuffer(body, dtype="<f4").reshape(n, h).astype(np.float64))
     if has_labels:
-        lbl_raw = buf.read(4 * n)
+        lbl_raw = raw[stop:stop + 4 * n]
         if len(lbl_raw) != 4 * n:
             raise DataFormatError("truncated label payload")
         labels = np.frombuffer(lbl_raw, dtype="<u4").astype(np.int64)
-        return features, LabelVector(labels, k=int(labels.max()) + 1 if n else 1)
+        return features, LabelVector(labels, k=int(labels.max()) + 1)
     return features, None
 
 
@@ -409,14 +430,11 @@ def save_head(path, head: SoftmaxHead) -> None:
 
 
 def load_head(path) -> SoftmaxHead:
-    with open(path, newline="") as f:
-        try:
-            rows = [[float(v) for v in row] for row in csv.reader(f) if row]
-        except ValueError as e:
-            raise DataFormatError("non-numeric field in head file") from e
-    if len(rows) < 2:
-        raise DataFormatError("head file needs at least one weight row plus a bias row")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise DataFormatError("head file rows differ in length")
-    arr = np.array(rows, dtype=np.float64)
-    return SoftmaxHead(w=arr[:-1], b=arr[-1])
+    """Read a head file with the number grammar of the feature CSV reader."""
+    with _file_content("head file"), warnings.catch_warnings():
+        # an empty file raises below; loadtxt's warning would add a line
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        arr = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+        if arr.shape[0] < 2:
+            raise DataFormatError("head file needs at least one weight row plus a bias row")
+        return SoftmaxHead(w=arr[:-1], b=arr[-1])

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, LabelVector
+from .core import FeatureMatrix, LabelVector, _as_f64, _file_content, _typed_params
 from .errors import ConfigError, DataFormatError, DimensionError, SingularModelError
 
 __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
@@ -69,6 +69,11 @@ class GaussianMixture:
     """Fitted mixture: weights pi_i, means mu_i, full covariances Sigma_i."""
 
     FORMAT_VERSION = 1
+    # The saved payload, {key: (type, default)} with the types of
+    # core._typed; numpy checks the arrays, which may hold many numbers.
+    PAYLOAD = {"format_version": ((FORMAT_VERSION,), ...), "k": (int, ...),
+               "weights": (list, ...), "means": (list, ...), "covariances": (list, ...),
+               "reg": (float, 0.0), "log_transform": (bool, False)}
 
     def __init__(self, weights, means, covariances, reg=0.0, log_transform=False):
         weights = np.asarray(weights, dtype=np.float64)
@@ -204,46 +209,25 @@ class GaussianMixture:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianMixture":
-        """Rebuild a saved mixture; a payload that does not have the saved
-        layout (K rows of H*H covariance entries), or whose values are not
-        finite or do not form a valid mixture (weights off the simplex,
-        covariances not symmetric positive definite), raises DataFormatError."""
-        if not isinstance(d, dict):
-            raise DataFormatError("mixture file must hold a JSON object")
-        if d.get("format_version") != cls.FORMAT_VERSION:
-            raise ConfigError("unsupported mixture format version")
-        missing = [key for key in ("k", "weights", "means", "covariances") if key not in d]
-        if missing:
-            raise DataFormatError(f"mixture file lacks required keys {missing}")
-        k = d["k"]
-        if type(k) is not int or k < 1:
-            raise DataFormatError(f"mixture k must be a positive integer, got {k!r}")
-        try:
-            weights = np.asarray(d["weights"], dtype=np.float64)
-            means = np.asarray(d["means"], dtype=np.float64)
-            covs = np.asarray(d["covariances"], dtype=np.float64)
-            reg = float(d.get("reg", 0.0))
-        except (TypeError, ValueError) as e:
-            raise DataFormatError(f"mixture file holds a non-numeric field: {e}") from e
-        log_transform = d.get("log_transform", False)
-        if not isinstance(log_transform, bool):
-            raise DataFormatError(f"mixture log_transform must be true or false, "
-                                  f"got {log_transform!r}")
-        h = means.shape[1] if means.ndim == 2 else 0
-        if h < 1 or weights.shape != (k,) or means.shape[0] != k or covs.shape != (k, h * h):
-            raise DataFormatError(f"mixture file needs k={k} weights, {k} means of one "
-                                  f"length H and {k} rows of H*H covariance entries")
-        if not all(np.isfinite(a).all() for a in (weights, means, covs, reg)):
-            raise DataFormatError("mixture file holds a non-finite value")
-        try:
-            return cls(weights, means, covs.reshape(k, h, h), reg=reg,
-                       log_transform=log_transform)
-        except (ConfigError, SingularModelError) as e:
-            raise DataFormatError(f"mixture file holds invalid parameters: {e}") from e
+        """Rebuild a saved mixture; a payload that does not fit ``PAYLOAD``
+        or the saved layout (K rows of H*H covariance entries), or whose
+        values are not finite or do not form a valid mixture (weights off
+        the simplex, covariances not symmetric positive definite), raises
+        DataFormatError."""
+        with _file_content("mixture file"):
+            p = _typed_params(cls.PAYLOAD, d, "key")
+            k = p["k"]
+            weights, means, covs = (_as_f64(p[key]) for key in ("weights", "means", "covariances"))
+            h = means.shape[1] if means.ndim == 2 else 0
+            if h < 1 or weights.shape != (k,) or means.shape[0] != k or covs.shape != (k, h * h):
+                raise DataFormatError(f"mixture file needs k={k} weights, {k} means of one "
+                                      f"length H and {k} rows of H*H covariance entries")
+            return cls(weights, means, covs.reshape(k, h, h), reg=p["reg"],
+                       log_transform=p["log_transform"])
 
     @classmethod
     def load(cls, path) -> "GaussianMixture":
-        with open(path) as f:
+        with open(path) as f, _file_content("mixture file"):
             return cls.from_dict(json.load(f))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .core import FeatureMatrix
 from .errors import ConfigError, DimensionError, NumericalError
 
-__all__ = ["AttributionReport", "auroc", "attribute", "pca_project", "balance_sets"]
+__all__ = ["AttributionReport", "auroc", "attribute", "pca_project"]
 
 
 def auroc(scores_in, scores_out) -> float:
@@ -82,19 +82,6 @@ def attribute(a: float, b: float, c: float, d: float) -> AttributionReport:
     """Build the attribution report from the four estimator AUROCs
     (max, entropy, cool, density)."""
     return AttributionReport(auroc_max=a, auroc_entropy=b, auroc_cool=c, auroc_density=d)
-
-
-def balance_sets(scores_in, scores_out, seed: int = 0):
-    """Subsample the larger side so both sides have equal size."""
-    s_in = np.asarray(scores_in, dtype=np.float64)
-    s_out = np.asarray(scores_out, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    m = min(s_in.size, s_out.size)
-    if s_in.size > m:
-        s_in = s_in[rng.choice(s_in.size, size=m, replace=False)]
-    if s_out.size > m:
-        s_out = s_out[rng.choice(s_out.size, size=m, replace=False)]
-    return s_in, s_out
 
 
 def pca_project(features: FeatureMatrix, dims: int = 2):

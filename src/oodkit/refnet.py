@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import structure
-from .core import (FeatureMatrix, LabelVector, SoftmaxHead, _entropy_rows, _typed_params,
-                   softmax_from_logits)
-from .errors import ConfigError, DataFormatError, DimensionError, NumericalError
+from .core import (FeatureMatrix, LabelVector, SoftmaxHead, _entropy_rows, _file_content,
+                   _typed_params, softmax_from_logits)
+from .errors import ConfigError, DimensionError, NumericalError
 from .metrics import auroc
 
 __all__ = [
@@ -46,13 +46,11 @@ TASKS = {
                  "width": (float, 2.0), "seed": (int, 0)},
     "uniform_hypercube_ood": {"n": (int, 500), "dim": (int, 2), "low": (float, -1.0),
                               "high": (float, 1.0), "seed": (int, 0)},
-    "binary_grid": {"grid": (int, 9), "mode": (("classes", "uniform"), "classes"),
-                    "n": (int, 500), "k": (int, 3), "n_per_class": (int, 200),
+    "binary_grid": {"grid": (int, 9), "k": (int, 3), "n_per_class": (int, 200),
                     "flip_prob": (float, 0.05), "proto_seed": (int, 0), "seed": (int, 0)},
+    "binary_grid_ood": {"grid": (int, 9), "n": (int, 500), "seed": (int, 0)},
 }
 TASK_KINDS = tuple(TASKS)
-# The binary_grid keys that only one mode reads; the other mode rejects them.
-_GRID_MODE_KEYS = {"uniform": {"n"}, "classes": {"k", "n_per_class", "flip_prob", "proto_seed"}}
 
 
 @dataclass(frozen=True)
@@ -173,14 +171,10 @@ def generate(task: SyntheticTask):
             raise ConfigError("invalid hypercube parameters")
         return FeatureMatrix(rng.uniform(low, high, size=(n, dim))), None
 
-    # binary_grid: per-class binary prototypes with pixel-flip noise, or a
-    # uniform Bernoulli(0.5) sampler over the grid.
+    # binary_grid_ood: a uniform Bernoulli(0.5) sampler over the grid;
+    # binary_grid: per-class binary prototypes with pixel-flip noise.
     grid = p["grid"]
-    other = "classes" if p["mode"] == "uniform" else "uniform"
-    stray = sorted(set(task.params) & _GRID_MODE_KEYS[other])
-    if stray:
-        raise ConfigError(f"task parameters {stray} do not apply to mode {p['mode']!r}")
-    if p["mode"] == "uniform":
+    if task.kind == "binary_grid_ood":
         if p["n"] < 1 or grid < 1:
             raise ConfigError("invalid grid parameters")
         return FeatureMatrix(rng.integers(0, 2, size=(p["n"], grid * grid)).astype(float)), None
@@ -205,6 +199,12 @@ class MlpModel:
     """
 
     FORMAT_VERSION = 1
+    # The saved payload, {key: (type, default)} with the types of
+    # core._typed; the arrays are checked when the model is built from them.
+    PAYLOAD = {"format_version": ((FORMAT_VERSION,), ...), "layer_widths": ([int], ...),
+               "activation": (str, ...), "k": (int, ...), "linear_features": (bool, False),
+               "head_frozen": (bool, False), "weights": (list, ...), "biases": (list, ...),
+               "head_w": (list, ...), "head_b": (list, ...)}
 
     def __init__(self, spec: MlpSpec, weights, biases, head_w, head_b,
                  head_frozen: bool = False):
@@ -215,7 +215,7 @@ class MlpModel:
         self.head_b = np.array(head_b, dtype=np.float64)
         self.head_frozen = bool(head_frozen)
         widths = spec.layer_widths
-        if len(self.weights) != len(widths) - 1:
+        if not len(self.weights) == len(self.biases) == len(widths) - 1:
             raise DimensionError("layer count does not match spec")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (widths[i], widths[i + 1]) or b.shape != (widths[i + 1],):
@@ -269,8 +269,7 @@ class MlpModel:
         return float(np.mean(self.predict(features.data) == labels.labels))
 
     def head(self) -> SoftmaxHead:
-        return SoftmaxHead(w=self.head_w.copy(), b=self.head_b.copy(),
-                           meta={"kind": "trained", "frozen": self.head_frozen})
+        return SoftmaxHead(w=self.head_w.copy(), b=self.head_b.copy())
 
     # -- loss / gradients ----------------------------------------------------
 
@@ -311,33 +310,19 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
-        """Rebuild a saved model; a payload with a missing key, a non-integer
-        k, a non-boolean flag, or a field that is non-numeric, non-finite or
-        of the wrong shape raises DataFormatError."""
-        if not isinstance(d, dict):
-            raise DataFormatError("model file must hold a JSON object")
-        if d.get("format_version") != cls.FORMAT_VERSION:
-            raise ConfigError("unsupported model format version")
-        missing = [key for key in ("layer_widths", "activation", "k", "weights", "biases",
-                                   "head_w", "head_b") if key not in d]
-        if missing:
-            raise DataFormatError(f"model file lacks required keys {missing}")
-        if type(d["k"]) is not int:
-            raise DataFormatError(f"model k must be an integer, got {d['k']!r}")
-        flags = {key: d.get(key, False) for key in ("linear_features", "head_frozen")}
-        if not all(isinstance(v, bool) for v in flags.values()):
-            raise DataFormatError(f"model flags must be true or false, got {flags}")
-        try:
-            spec = MlpSpec(tuple(d["layer_widths"]), d["activation"], d["k"],
-                           flags["linear_features"])
-            return cls(spec, d["weights"], d["biases"], d["head_w"], d["head_b"],
-                       head_frozen=flags["head_frozen"])
-        except (TypeError, ValueError, DimensionError, NumericalError) as e:
-            raise DataFormatError(f"model file holds a malformed field: {e}") from e
+        """Rebuild a saved model; a payload that does not fit ``PAYLOAD``, or
+        a field that is non-numeric, non-finite or of the wrong shape, raises
+        DataFormatError."""
+        with _file_content("model file"):
+            p = _typed_params(cls.PAYLOAD, d, "key")
+            spec = MlpSpec(tuple(p["layer_widths"]), p["activation"], p["k"],
+                           p["linear_features"])
+            return cls(spec, p["weights"], p["biases"], p["head_w"], p["head_b"],
+                       head_frozen=p["head_frozen"])
 
     @classmethod
     def load(cls, path) -> "MlpModel":
-        with open(path) as f:
+        with open(path) as f, _file_content("model file"):
             return cls.from_dict(json.load(f))
 
 

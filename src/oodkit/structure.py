@@ -68,8 +68,7 @@ def gen_optimal_head(spec: OptimalStructureSpec, seed: int = 0) -> SoftmaxHead:
     rng = np.random.default_rng(seed)
     embed = _random_orthonormal_map(h, k - 1, rng)
     w = embed @ rows.T  # H x K
-    return SoftmaxHead(w=w, b=np.zeros(k),
-                       meta={"kind": "optimal", "c1": spec.c1, "seed": seed})
+    return SoftmaxHead(w=w, b=np.zeros(k))
 
 
 def gen_counterfactual_head(kind: str, k: int = 3, h: int = 2, seed: int = 0,
@@ -110,7 +109,7 @@ def gen_counterfactual_head(kind: str, k: int = 3, h: int = 2, seed: int = 0,
         rng = np.random.default_rng(seed)
         rot = _random_orthonormal_map(h, h, rng)
         w = rot @ w
-    return SoftmaxHead(w=w, b=b, meta={"kind": kind, "c": c, "seed": seed})
+    return SoftmaxHead(w=w, b=b)
 
 
 @dataclass(frozen=True)

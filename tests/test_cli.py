@@ -1,11 +1,19 @@
 import csv
+import io
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oodkit
 from oodkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, VERBS, main
@@ -175,6 +183,33 @@ class TestAttribute:
                     "--row", "0.9,0.9") == EXIT_CONFIG
 
 
+def _one_io_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("io error:") and err.count("\n") == 1
+
+
+# Each case exits 3 with one "io error:" line, through audit-head and score.
+_BAD_HEADS = {
+    "one-column": "1.0\n2.0\n0\n",
+    "infinite": "1.0,-1.0\ninf,0.5\n0,0\n",
+    "digit-separator": "1_0,-1.0\n0.5,-0.5\n0,0\n",
+    "quoted": '"1.0",-1.0\n0.5,-0.5\n0,0\n',
+    "empty": "",  # loadtxt warns of no data; the warning must not print
+}
+
+
+def _binary_features(n, h, floats=()):
+    return b"FEAT" + struct.pack("<IIIB", 1, n, h, 0) + np.array(floats, "<f4").tobytes()
+
+
+# Feature files read by score; each exits 3 with one "io error:" line.
+_BAD_FEATURES = {
+    "csv-nan": b"h0,h1\n1.0,nan\n0.5,0.5\n",
+    "binary-nan": _binary_features(2, 2, [1.0, np.nan, 0.5, 0.5]),
+    "binary-header-overflow": _binary_features(2 ** 32 - 1, 2 ** 32 - 1),
+    "binary-no-rows": _binary_features(0, 2),
+}
+
 _MIXTURE = {"format_version": 1, "k": 1, "weights": [1.0], "means": [[0.0, 0.0]],
             "covariances": [[1.0, 0.0, 0.0, 1.0]]}
 
@@ -191,6 +226,8 @@ _BAD_MIXTURES = {
     "asymmetric-covariance": {**_MIXTURE, "covariances": [[1.0, 0.5, 0.0, 1.0]]},
     "indefinite-covariance": {**_MIXTURE, "covariances": [[1.0, 2.0, 2.0, 1.0]]},
     "non-finite": {**_MIXTURE, "means": [[float("nan"), 0.0]]},
+    "version": {**_MIXTURE, "format_version": 2},
+    "unknown-key": {**_MIXTURE, "weight": [1.0]},
 }
 
 _MODEL = MlpModel.init(MlpSpec((2, 4), "relu", 3)).to_dict()
@@ -212,6 +249,10 @@ _BAD_MODELS = {
     "flag-string": {**_MODEL, "linear_features": "false"},
     "head-weight-nan": _model_with("head_w", (0, 0), float("nan")),
     "hidden-weight-infinite": _model_with("weights", (0, 0, 0), float("inf")),
+    "version": {**_MODEL, "format_version": 2},
+    "unknown-key": {**_MODEL, "frozen": False},
+    "width-not-int": {**_MODEL, "layer_widths": [2.5, 4]},
+    "biases-short": {**_MODEL, "biases": []},
 }
 
 # (verb, config file payload or None, flags): each is a configuration error
@@ -263,8 +304,8 @@ _BAD_CONFIGS = {
     "task-param-string-for-int": ("train-toy", None, ["--task-params", '{"dim": "2"}']),
     "task-param-mode-typo": ("train-toy", None, ["--task", "binary_grid",
                                                  "--task-params", '{"mode": "unifrom"}']),
-    "uniform-grid-given-k": ("sweep", None, ["--sampler", "binary_grid", "--sampler-params",
-                                             '{"mode": "uniform", "k": 3}']),
+    "uniform-grid-given-k": ("sweep", None, ["--sampler", "binary_grid_ood",
+                                             "--sampler-params", '{"k": 3}']),
     "learning-rate-nan": ("train-toy", None, ["--learning-rate", "nan"]),
     "learning-rate-nan-file": ("train-toy", {"learning_rate": float("nan")}, []),
     "weight-decay-infinite": ("train-toy", None, ["--weight-decay", "inf"]),
@@ -363,7 +404,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("io error:")
 
     @pytest.mark.parametrize("case", list(_BAD_MIXTURES))
-    def test_mixture_file_missing_key(self, tmp_path, case):
+    def test_mixture_file_missing_key(self, tmp_path, capsys, case):
         head = _write_cluster_features(tmp_path / "f.csv", h=2)
         from oodkit.core import save_head
         save_head(tmp_path / "head.csv", head)
@@ -372,12 +413,31 @@ class TestExitCodes:
                     "--features", str(tmp_path / "f.csv"),
                     "--head", str(tmp_path / "head.csv"),
                     "--gmm", str(tmp_path / "gmm.json")) == EXIT_IO
+        assert _one_io_error(capsys)
 
     @pytest.mark.parametrize("case", list(_BAD_MODELS))
-    def test_malformed_model_file(self, tmp_path, case):
+    def test_malformed_model_file(self, tmp_path, capsys, case):
         (tmp_path / "model.json").write_text(json.dumps(_BAD_MODELS[case]))
         assert _run("sweep", "--outdir", str(tmp_path),
                     "--model", str(tmp_path / "model.json")) == EXIT_IO
+        assert _one_io_error(capsys)
+
+    @pytest.mark.parametrize("verb", ["audit-head", "score"])
+    @pytest.mark.parametrize("case", list(_BAD_HEADS))
+    def test_malformed_head_file(self, tmp_path, capsys, monkeypatch, case, verb):
+        monkeypatch.chdir(tmp_path)
+        _write_cluster_features(tmp_path / "features.csv", h=2)
+        (tmp_path / "head.csv").write_text(_BAD_HEADS[case])
+        assert _run(verb, "--outdir", "out") == EXIT_IO
+        assert _one_io_error(capsys)
+
+    @pytest.mark.parametrize("case", list(_BAD_FEATURES))
+    def test_malformed_feature_file(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        save_head(tmp_path / "head.csv", _write_cluster_features(tmp_path / "ok.csv", h=2))
+        (tmp_path / "features.csv").write_bytes(_BAD_FEATURES[case])
+        assert _run("score", "--outdir", "out") == EXIT_IO
+        assert _one_io_error(capsys)
 
     @pytest.mark.parametrize("case", list(_BAD_CONFIGS))
     def test_mistyped_config_is_config_error(self, tmp_path, capsys, monkeypatch, case):
@@ -391,6 +451,69 @@ class TestExitCodes:
             flags = flags + ["--config", str(tmp_path / "cfg.json")]
         assert _run(verb, "--outdir", str(tmp_path / "out"), *flags) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+
+def _fuzz_inputs():
+    """Valid inputs of score --gmm and sweep --model, as bytes by file name."""
+    head = gen_optimal_head(OptimalStructureSpec(k=3, h=2, c1=1.5), seed=0)
+    fm, lv = synthesize_cluster_features(head, c3=4.0, n_per_class=4, noise=0.3, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_head(Path(tmp, "head.csv"), head)
+        save_features(Path(tmp, "f.csv"), fm, lv)
+        save_features(Path(tmp, "f.bin"), fm, lv, fmt="binary")
+        files = {name: Path(tmp, name).read_bytes() for name in ("f.csv", "f.bin", "head.csv")}
+    return {**files, "gmm.json": json.dumps(_MIXTURE, indent=1).encode(),
+            "model.json": json.dumps(_MODEL, indent=1).encode()}
+
+
+_FUZZ_INPUTS = _fuzz_inputs()
+_FIELD = re.compile(rb"-?[0-9][0-9.eE+-]*|true|false|NaN")
+
+
+class TestMutatedInputs:
+    """Any one mutation of one input file exits 0, 2, 3 or 4 with at most one
+    stderr line; a traceback or a warning fails the test."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_input_exits_cleanly(self, data):
+        files = dict(_FUZZ_INPUTS)
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        raw = files[name]
+        json_file = name.endswith(".json")
+        how = data.draw(st.sampled_from(["truncate", "field"]
+                                        + ["drop key", "add key"] * json_file), label="how")
+        if how == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        elif how == "field" and name == "f.bin":
+            start = data.draw(st.integers(4, len(raw) - 4), label="offset")
+            new = data.draw(st.sampled_from([np.float32(np.nan).tobytes(), b"xxxx", b""]))
+            raw = raw[:start] + new + raw[start + 4:]
+        elif how == "field":
+            start, stop = data.draw(st.sampled_from([m.span() for m in _FIELD.finditer(raw)]),
+                                    label="field")
+            new = data.draw(st.sampled_from([b"nan", b"NaN", b"x", b'"x"', b""]))
+            raw = raw[:start] + new + raw[stop:]
+        else:
+            payload = json.loads(raw)
+            if how == "drop key":
+                del payload[data.draw(st.sampled_from(sorted(payload)), label="key")]
+            else:
+                payload["extra"] = 1
+            raw = json.dumps(payload).encode()
+        files[name] = raw
+        features = "f.bin" if name == "f.bin" else "f.csv"
+        argv = (["sweep", "--model", "model.json", "--n-samples", "60", "--top-m", "2"]
+                if name == "model.json" else
+                ["score", "--features", features, "--head", "head.csv", "--gmm", "gmm.json"])
+        with tempfile.TemporaryDirectory() as tmp:
+            for fname, content in files.items():
+                Path(tmp, fname).write_bytes(content)
+            argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+            with redirect_stderr(io.StringIO()) as err:
+                code = main(argv + ["--outdir", os.path.join(tmp, "out")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL)
+        assert err.getvalue().count("\n") <= 1
 
 
 class TestTrainToyAndSweep:
@@ -422,7 +545,7 @@ class TestTrainToyAndSweep:
         (tmp_path / "model.json").write_text(
             json.dumps(MlpModel.init(MlpSpec((4, 4), "relu", 3)).to_dict()))
         params = {"ring_ood": {"dim": 4}, "uniform_hypercube_ood": {"dim": 4},
-                  "binary_grid": {"mode": "uniform", "grid": 2}}
+                  "binary_grid_ood": {"grid": 2}}
         assert sorted(VERBS["sweep"][2]["sampler"][0]) == sorted(params)
         for sampler, sampler_params in params.items():
             assert _run("sweep", "--outdir", str(tmp_path / sampler),

@@ -6,7 +6,7 @@ from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from oodkit.core import FeatureMatrix, LabelVector
-from oodkit.errors import ConfigError, DimensionError, SingularModelError
+from oodkit.errors import ConfigError, DataFormatError, DimensionError, SingularModelError
 from oodkit.gmm import (_BLOCK_BYTES, EmConfig, GaussianMixture, _kmeans_pp_init,
                         _nearest_center, _row_blocks, fit_em)
 
@@ -111,7 +111,7 @@ class TestGaussianMixtureModel:
         assert gmm2.reg == gmm.reg
 
     def test_unknown_version_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataFormatError, match="format_version"):
             GaussianMixture.from_dict({"format_version": 99})
 
 

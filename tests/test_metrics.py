@@ -9,7 +9,6 @@ from oodkit.metrics import (
     AttributionReport,
     attribute,
     auroc,
-    balance_sets,
     pca_project,
 )
 
@@ -98,25 +97,6 @@ class TestAttribution:
         d = json.loads(json.dumps(rep.to_dict()))
         assert d["cause1_saturation"] == pytest.approx(0.05)
         assert d["negative_cause_flag"] is False
-
-
-class TestBalanceSets:
-    def test_equalizes_sizes(self):
-        rng = np.random.default_rng(3)
-        s_in = rng.standard_normal(100)
-        s_out = rng.standard_normal(40)
-        b_in, b_out = balance_sets(s_in, s_out, seed=0)
-        assert len(b_in) == len(b_out) == 40
-        assert set(b_in).issubset(set(s_in))
-        np.testing.assert_array_equal(b_out, s_out)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(4)
-        s_in = rng.standard_normal(50)
-        s_out = rng.standard_normal(20)
-        a = balance_sets(s_in, s_out, seed=7)
-        b = balance_sets(s_in, s_out, seed=7)
-        np.testing.assert_array_equal(a[0], b[0])
 
 
 class TestPcaProject:

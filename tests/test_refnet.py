@@ -68,8 +68,7 @@ class TestGenerators:
         assert x.data.min() >= -2.0 and x.data.max() <= 3.0
 
     def test_binary_grid_uniform_marginals(self):
-        task = SyntheticTask("binary_grid", dict(grid=4, mode="uniform",
-                                                 n=100_000, seed=7))
+        task = SyntheticTask("binary_grid_ood", dict(grid=4, n=100_000, seed=7))
         x, y = generate(task)
         assert y is None
         assert set(np.unique(x.data)) == {0.0, 1.0}
@@ -95,15 +94,17 @@ class TestGenerators:
         with pytest.raises(ConfigError):
             generate(_blob_task(sigma=-1.0))
 
+    # each grid task is checked by its own table: the other's keys are unknown
     @pytest.mark.parametrize("params", [
-        {"mode": "uniform", "k": 3},
-        {"mode": "uniform", "proto_seed": 1},
-        {"n": 10},
-        {"mode": "classes", "n": 10},
+        ("binary_grid_ood", {"k": 3}),
+        ("binary_grid_ood", {"proto_seed": 1}),
+        ("binary_grid", {"n": 10}),
+        ("binary_grid", {"mode": "uniform"}),
     ])
     def test_grid_rejects_the_other_modes_keys(self, params):
-        with pytest.raises(ConfigError, match="do not apply"):
-            generate(SyntheticTask("binary_grid", params))
+        kind, keys = params
+        with pytest.raises(ConfigError, match="unknown task parameters"):
+            generate(SyntheticTask(kind, keys))
 
 
 class TestMlpSpec:
@@ -312,7 +313,7 @@ class TestPersistence:
         assert loaded.spec == model.spec
 
     def test_unknown_version_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataFormatError, match="format_version"):
             MlpModel.from_dict({"format_version": 0})
 
     @pytest.mark.parametrize("key", ["weights", "biases", "head_w", "head_b"])
@@ -371,8 +372,7 @@ class TestConfidenceSweep:
         spec = MlpSpec((16, 16, 4), activation="tanh", k=3)
         model = train(data, spec, TrainConfig(epochs=30))
         protos = np.random.default_rng(3).integers(0, 2, size=(3, 16))
-        sampler = SyntheticTask("binary_grid", dict(grid=4, mode="uniform",
-                                                    seed=11))
+        sampler = SyntheticTask("binary_grid_ood", dict(grid=4, seed=11))
         hits = 0
         total = 0
         for seed in range(5):
