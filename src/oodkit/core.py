@@ -100,21 +100,29 @@ def _typed_params(table: dict, values: dict, what: str) -> dict:
     """
     if not isinstance(values, dict):
         raise ConfigError(f"expected a JSON object of {what}s, got {type(values).__name__}")
-    unknown = set(values) - set(table)
-    if unknown:
-        raise ConfigError(f"unknown {what}s: {sorted(unknown)}")
-    typed = {}
-    for key, (kind, default, *_) in table.items():
+
+    def typed(key):
+        kind, default, *_ = table[key]
         value = values.get(key, default)
         try:
             if value is ...:
                 raise ValueError("missing")
-            typed[key] = None if value is None and default is None else _typed(kind, value)
-            if key.endswith(("seed", "seeds")) and min(np.ravel(typed[key]), default=0) < 0:
+            out = None if value is None and default is None else _typed(kind, value)
+            if key.endswith(("seed", "seeds")) and min(np.ravel(out), default=0) < 0:
                 raise ValueError(f"expected non-negative seeds, got {value!r}")
+            return out
         except (ValueError, OverflowError) as e:
             raise ConfigError(f"{what} {key}: {e}") from e
-    return typed
+
+    # One-choice keys (a format version) are typed before the unknown-key
+    # check, so a file of a later version is named by its version, not by
+    # a key that version adds.
+    one_choice = {key: typed(key) for key, (kind, *_) in table.items()
+                  if isinstance(kind, tuple) and len(kind) == 1}
+    unknown = set(values) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {what}s: {sorted(unknown)}")
+    return {key: one_choice[key] if key in one_choice else typed(key) for key in table}
 
 
 @contextmanager

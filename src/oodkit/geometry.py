@@ -181,15 +181,19 @@ class LinearApproxRegion:
             lo[j, i], hi[j, i] = -hi[i, j], -lo[i, j]
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_w_rows", np.ascontiguousarray(self.head.w.T))
 
     def contains(self, z: np.ndarray) -> np.ndarray:
         """Rows inside a slab of a pair that holds their argmax class.
 
-        One z @ W serves the argmax and every slab: n.z = zw_i - zw_j. A
-        NaN row fails every comparison and stays outside.
+        One z.W serves the argmax and every slab: n.z = zw_i - zw_j. A
+        NaN row fails every comparison and stays outside. Each z.w_i is one
+        contiguous dot product, the same whatever the batch, so a row's
+        answer does not depend on the batch it comes in; a BLAS z @ W gives
+        other bits on a few rows (a small-matrix path, or GEMV on one).
         """
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        zw = z @ self.head.w
+        zw = np.einsum("nh,kh->nk", z, self._w_rows, optimize=False)
         argmax = np.argmax(zw + self.head.b, axis=1)
         d = np.take_along_axis(zw, argmax[:, None], axis=1) - zw
         return ((self._lo[argmax] < d) & (d < self._hi[argmax])).any(axis=1)
@@ -328,9 +332,11 @@ def mc_region_mass(contains, sampler: GaussianMixture, n: int = DEFAULT_MC_SAMPL
                    seed: int = DEFAULT_MC_SEED, batch: int = 100_000) -> float:
     """Monte Carlo estimate of the sampler's mass inside the region.
 
-    ``contains`` maps an N x H batch to booleans; ``sampler`` is the
-    GaussianMixture whose sample(n, rng) draws the batches. Deterministic
-    for a given (seed, batch) pair.
+    ``sampler`` is the GaussianMixture to draw from, in batches of ``batch``
+    draws; ``contains`` maps each piece of a batch that
+    ``sampler.sample_chunks`` yields (an M x H array, M >= 1) to booleans.
+    The hits are counted piece by piece, so the scratch memory does not grow
+    with ``batch``. Deterministic for a given (seed, batch) pair.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -341,8 +347,10 @@ def mc_region_mass(contains, sampler: GaussianMixture, n: int = DEFAULT_MC_SAMPL
     done = 0
     while done < n:
         m = min(batch, n - done)
-        # No name holds the batch, so it is freed before the next one is drawn.
-        hits += int(np.count_nonzero(contains(sampler.sample(m, rng))))
+        # The loop runs the generator to its end, which draws the shuffle,
+        # so the next batch starts where sample(m, rng) would leave rng.
+        for piece in sampler.sample_chunks(m, rng):
+            hits += int(np.count_nonzero(contains(piece)))
         done += m
     return hits / n
 

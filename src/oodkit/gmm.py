@@ -13,6 +13,9 @@ not grow with N; only the N x K' outputs do. Each row's result does not depend o
 the block it falls in, so the outputs are bitwise those of one whole-batch
 pass, and a row's ``log_density`` equals its ``log_density_batch`` entry.
 The EM M-step is not blocked: its covariance products reduce over N.
+``sample_chunks`` streams the Gaussian draws in the same row blocks, one
+component at a time through one reused buffer, so a caller that only counts
+(the Monte Carlo region mass) holds O(block x H) scratch memory for any n.
 """
 
 from __future__ import annotations
@@ -32,16 +35,24 @@ _LOG_2PI = np.log(2.0 * np.pi)
 _BLOCK_BYTES = 1 << 20  # bytes per float64 temporary of a row block
 
 
+def _block_rows(h: int) -> int:
+    """Rows of an h-wide float64 temporary in _BLOCK_BYTES, at least 2."""
+    return max(2, _BLOCK_BYTES // (8 * h))
+
+
 def _row_blocks(n: int, h: int):
-    """Slices that cover rows 0..n-1 in order, _BLOCK_BYTES // (8 h) rows
-    each (at least 2) for an h-wide temporary. A 1-row tail joins the block before it, so only a
-    1-row input gives a 1-row block."""
-    step = max(2, _BLOCK_BYTES // (8 * h))
-    start = 0
-    while start < n:
-        stop = n if n - start <= step + 1 else start + step
-        yield slice(start, stop)
-        start = stop
+    """Slices that cover rows 0..n-1 in order: for n >= 1, ceil((n - 1) /
+    step) blocks (at least one) for step = _block_rows(h), their sizes
+    within one row of each other. So a block has at most step + 1 rows, and
+    only a 1-row input gives a 1-row block.
+
+    No block is much shorter than the others: a BLAS product on a few rows
+    can take a small-matrix path whose bits differ from those of the same
+    rows in a larger product.
+    """
+    count = max(1, -(-(n - 1) // _block_rows(h))) if n else 0
+    for i in range(count):
+        yield slice(i * n // count, (i + 1) * n // count)
 
 
 @dataclass(frozen=True)
@@ -166,29 +177,46 @@ class GaussianMixture:
             grad = grad / z  # chain rule through the log transform
         return grad
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n draws in feature space (exponentiated under ``log_transform``).
+    def sample_chunks(self, n: int, rng: np.random.Generator):
+        """n draws in feature space (exponentiated under ``log_transform``),
+        yielded piece by piece; the generator returns the shuffle.
 
         The stream of ``rng.multivariate_normal(method="cholesky")`` per
-        component: multinomial counts, then mean + N(0, I) @ L^T, then one
-        shuffle. L is the cached ``np.linalg.cholesky`` factor, the one that
-        call uses. Two n x H buffers hold the whole draw: the normals, then
-        the shifted draws, then the shuffle gathered back over the normals.
+        component: multinomial counts, then mean + N(0, I) @ L^T for each
+        component in ``_row_blocks``, then ``rng.permutation(n)``. L is the
+        cached ``np.linalg.cholesky`` factor, the one that call uses. No
+        piece is much shorter than a block unless its component is, so each
+        piece's product has the bits of that call's whole-component product.
+        The pieces come in component order, each a view of one reused
+        buffer that the next piece overwrites; only a 1-draw component gives
+        a 1-row piece. ``sample`` gathers them through the shuffle.
         """
         counts = rng.multinomial(n, self.weights)
-        normals = np.empty((n, self.h))
-        draws = np.empty((n, self.h))
-        start = 0
+        rows = min(int(counts.max(initial=0)), _block_rows(self.h) + 1)
+        normals = np.empty((rows, self.h))
+        draws = np.empty((rows, self.h))
         for i, c in enumerate(counts):
-            if c:
-                rows = slice(start, start + c)
-                rng.standard_normal(out=normals[rows])
-                np.matmul(normals[rows], self._chols[i].T, out=draws[rows])
-                draws[rows] += self.means[i]
-                start += c
-        # mode="clip" writes straight into out; the default mode buffers it.
-        out = np.take(draws, rng.permutation(n), axis=0, out=normals, mode="clip")
-        return np.exp(out, out=out) if self.log_transform else out
+            for block in _row_blocks(c, self.h):
+                m = block.stop - block.start
+                rng.standard_normal(out=normals[:m])
+                piece = np.matmul(normals[:m], self._chols[i].T, out=draws[:m])
+                piece += self.means[i]
+                yield np.exp(piece, out=piece) if self.log_transform else piece
+        return rng.permutation(n)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws in feature space: the pieces of ``sample_chunks`` copied
+        into one n x H array and gathered through its shuffle."""
+        draws = np.empty((n, self.h))
+        pieces = self.sample_chunks(n, rng)
+        start = 0
+        while True:
+            try:
+                piece = next(pieces)
+            except StopIteration as end:
+                return draws[end.value]
+            draws[start:start + len(piece)] = piece
+            start += len(piece)
 
     # -- persistence --------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -301,6 +303,22 @@ class TestLinearMembership:
         assert region.contains(ties).all()
         assert not region.contains(nan_rows).any()
 
+    def test_contains_is_split_invariant(self):
+        # The face points lie within rounding of a face, where other bits of
+        # z.W would flip the answer. Each alone, then pieces of 2, 777 and
+        # 2048 rows and single rows in between.
+        region, gauss, ties = self._h64_k10()
+        far = 1e3 * float(region.head.column_norms().max())
+        faces = _face_points(region, (0.01 * far, far))
+        z = np.concatenate([faces, ties, gauss])
+        cuts = list(range(len(faces) + 1))
+        sizes = [2, 777, 2048, 1]
+        while cuts[-1] < len(z):
+            cuts.append(min(len(z), cuts[-1] + sizes[len(cuts) % len(sizes)]))
+        pieces = [region.contains(z[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert {1, 2, 777, 2048} <= {b - a for a, b in zip(cuts, cuts[1:])}
+        np.testing.assert_array_equal(np.concatenate(pieces), region.contains(z))
+
     def test_slab_normal_must_be_the_class_difference(self):
         region, _, _ = self._h2_k3()
         slabs = dict(region.slabs)
@@ -342,7 +360,52 @@ class TestDensityRegion:
             density_region(gmm, 1.2)
 
 
+@pytest.fixture(scope="module")
+def region_and_mixture():
+    """A fitted H=64, K=10 linear region, and a mixture of one Gaussian per
+    class that puts about a tenth of its mass inside it."""
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((64, 10))
+    head = SoftmaxHead(w=w, b=rng.standard_normal(10))
+    y = rng.integers(0, 10, 2000)
+    region = fit_linear_region(
+        head, FeatureMatrix(0.5 * w[:, y].T + rng.standard_normal((2000, 64))), 0.05)
+    a = rng.standard_normal((10, 64, 64)) / 8.0
+    mixture = GaussianMixture(np.full(10, 0.1), 0.5 * w.T,
+                              a @ a.transpose(0, 2, 1) + np.eye(64))
+    return region, mixture
+
+
 class TestMonteCarloMass:
+    # n=5 gives components of exactly one draw, hence 1-row pieces; 7000
+    # leaves a short last batch.
+    @pytest.mark.parametrize("n, batch", [(5, 5), (20_000, 20_000), (20_000, 7_000)])
+    def test_counts_what_sample_draws(self, region_and_mixture, n, batch):
+        region, mixture = region_and_mixture
+        rng = np.random.default_rng(29)
+        if n == 5:
+            assert 1 in rng.multinomial(5, mixture.weights)
+            rng = np.random.default_rng(29)
+        hits = sum(int(np.count_nonzero(region.contains(
+            mixture.sample(min(batch, n - done), rng)))) for done in range(0, n, batch))
+        assert n < 20_000 or 0 < hits < n
+        assert mc_region_mass(region.contains, mixture, n=n, seed=29, batch=batch) == hits / n
+
+    def test_scratch_memory_does_not_grow_with_batch(self, region_and_mixture):
+        # Drawing whole batches held two batch x H buffers: 98 MiB here.
+        region, mixture = region_and_mixture
+        peaks = {}
+        for batch in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                mc_region_mass(region.contains, mixture, n=200_000, seed=31, batch=batch)
+                peaks[batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        mib = 1 << 20
+        assert peaks[100_000] < 8 * mib
+        assert abs(peaks[100_000] - peaks[10_000]) < 2 * mib
+
     def test_half_space_oracle(self):
         model = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
         mass = mc_region_mass(lambda z: z[:, 0] > 0.0, model, n=500_000, seed=19)

@@ -167,7 +167,7 @@ class TestComponentLogDensities:
         whole = gmm.component_log_densities(x)
         expected = gmm._log_norms - 0.5 * _mahalanobis_sq_reference(gmm, x)
         np.testing.assert_allclose(whole, expected, rtol=4 * np.finfo(float).eps, atol=0)
-        # one row, one block, several blocks, and several with a 1-row tail
+        # one row, one block, and two blocks (the second of step + 1 rows at 2 step + 1)
         for n in (1, 2, 500, 2 * step, 2 * step + 1):
             np.testing.assert_array_equal(gmm.component_log_densities(x[:n]), whole[:n])
 
@@ -191,7 +191,7 @@ class TestComponentLogDensities:
     # 2048 rows of H=64 float64 are 1 MiB; a huge H still gets 2-row blocks.
     @pytest.mark.parametrize("n, h, sizes", [
         (0, 64, []), (1, 64, [1]), (2, 64, [2]), (2048, 64, [2048]), (2049, 64, [2049]),
-        (2050, 64, [2048, 2]), (4097, 64, [2048, 2049]), (5000, 64, [2048, 2048, 904]),
+        (2050, 64, [1025, 1025]), (4097, 64, [2048, 2049]), (5000, 64, [1666, 1667, 1667]),
         (5, 10 ** 9, [2, 3]), (6, 10 ** 9, [2, 2, 2])])
     def test_row_blocks_cover_rows_in_order(self, n, h, sizes):
         blocks = list(_row_blocks(n, h))
@@ -258,6 +258,32 @@ class TestSample:
             np.testing.assert_array_equal(
                 gmm.sample(n, np.random.default_rng(seed + 100)),
                 _sample_reference(gmm, n, np.random.default_rng(seed + 100)))
+
+    def test_matches_stream_when_a_component_spans_pieces(self):
+        # 2050 and 4099 draws of one component span several pieces. A 2- or
+        # 3-row last piece would take BLAS's small-matrix path, whose bits
+        # differ from the whole-component product's.
+        gmm = _random_mixture(5, k=1)
+        for n in (2049, 2050, 4099, 5000):
+            np.testing.assert_array_equal(
+                gmm.sample(n, np.random.default_rng(n)),
+                _sample_reference(gmm, n, np.random.default_rng(n)))
+
+    def test_chunks_are_the_draws_before_the_shuffle(self):
+        gmm = _random_mixture(6, log_transform=True)
+        rng, sample_rng = np.random.default_rng(3), np.random.default_rng(3)
+        shuffle = []
+
+        def pieces():
+            shuffle.append((yield from gmm.sample_chunks(20_000, rng)))
+
+        # each piece is a view of one reused buffer, so it is copied
+        chunks = [piece.copy() for piece in pieces()]
+        assert max(len(chunk) for chunk in chunks) <= _block_rows(64) + 1
+        np.testing.assert_array_equal(np.concatenate(chunks)[shuffle[0]],
+                                      gmm.sample(20_000, sample_rng))
+        # both leave the generator at the same place in its stream
+        assert rng.integers(1 << 62) == sample_rng.integers(1 << 62)
 
     def test_zero_draws_are_an_empty_batch(self):
         gmm = _random_mixture(4, k=3, h=5)
