@@ -181,19 +181,18 @@ class LinearApproxRegion:
             lo[j, i], hi[j, i] = -hi[i, j], -lo[i, j]
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
-        object.__setattr__(self, "_w_rows", np.ascontiguousarray(self.head.w.T))
 
     def contains(self, z: np.ndarray) -> np.ndarray:
         """Rows inside a slab of a pair that holds their argmax class.
 
         One z.W serves the argmax and every slab: n.z = zw_i - zw_j. A
-        NaN row fails every comparison and stays outside. Each z.w_i is one
-        contiguous dot product, the same whatever the batch, so a row's
-        answer does not depend on the batch it comes in; a BLAS z @ W gives
-        other bits on a few rows (a small-matrix path, or GEMV on one).
+        NaN row fails every comparison and stays outside. The logits come
+        from ``_logits_rows``, whose rows do not depend on the batch split,
+        so neither does a row's answer; a BLAS z @ W gives other bits on a
+        few rows (a small-matrix path, or GEMV on one).
         """
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        zw = np.einsum("nh,kh->nk", z, self._w_rows, optimize=False)
+        zw = _logits_rows(self.head, z)
         argmax = np.argmax(zw + self.head.b, axis=1)
         d = np.take_along_axis(zw, argmax[:, None], axis=1) - zw
         return ((self._lo[argmax] < d) & (d < self._hi[argmax])).any(axis=1)

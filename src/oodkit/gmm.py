@@ -48,7 +48,9 @@ def _row_blocks(n: int, h: int):
 
     No block is much shorter than the others: a BLAS product on a few rows
     can take a small-matrix path whose bits differ from those of the same
-    rows in a larger product.
+    rows in a larger product. Which rows counts take that path depends on
+    the BLAS build and the kernel it picks for the CPU; on OpenBLAS 0.3.31's
+    SkylakeX kernel, 64 x 10 products on fewer than about 1562 rows did.
     """
     count = max(1, -(-(n - 1) // _block_rows(h))) if n else 0
     for i in range(count):
@@ -185,11 +187,16 @@ class GaussianMixture:
         component: multinomial counts, then mean + N(0, I) @ L^T for each
         component in ``_row_blocks``, then ``rng.permutation(n)``. L is the
         cached ``np.linalg.cholesky`` factor, the one that call uses. No
-        piece is much shorter than a block unless its component is, so each
-        piece's product has the bits of that call's whole-component product.
-        The pieces come in component order, each a view of one reused
-        buffer that the next piece overwrites; only a 1-draw component gives
-        a 1-row piece. ``sample`` gathers them through the shuffle.
+        piece is much shorter than a block unless its component is, so that
+        each piece's product has the bits of that call's whole-component
+        product. BLAS does not promise this: it held for every count tried
+        on OpenBLAS 0.3.31's SkylakeX kernel, and a BLAS that picks another
+        kernel for some piece shapes can leave the stream by an ulp on those
+        rows (``test_matches_stream_when_a_component_spans_pieces`` and
+        ``test_matches_multivariate_normal_stream`` then fail). The pieces
+        come in component order, each a view of one reused buffer that the
+        next piece overwrites; only a 1-draw component gives a 1-row piece.
+        ``sample`` gathers them through the shuffle.
         """
         counts = rng.multinomial(n, self.weights)
         rows = min(int(counts.max(initial=0)), _block_rows(self.h) + 1)

@@ -261,8 +261,10 @@ class TestSample:
 
     def test_matches_stream_when_a_component_spans_pieces(self):
         # 2050 and 4099 draws of one component span several pieces. A 2- or
-        # 3-row last piece would take BLAS's small-matrix path, whose bits
-        # differ from the whole-component product's.
+        # 3-row last piece took OpenBLAS's small-matrix path, whose bits
+        # differ from the whole-component product's. Even pieces rely on the
+        # BLAS giving them the large-product kernel; where it does not, this
+        # fails.
         gmm = _random_mixture(5, k=1)
         for n in (2049, 2050, 4099, 5000):
             np.testing.assert_array_equal(
