@@ -38,14 +38,6 @@ def _write_json(path: str, payload) -> None:
         f.write("\n")
 
 
-def _write_csv(path: str, header, columns) -> None:
-    """A header line, then row i holds the repr of entry i of every column."""
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        text = [map(repr, col.tolist()) for col in columns]
-        f.writelines(",".join(row) + "\n" for row in zip(*text))
-
-
 # ---------------------------------------------------------------------------
 # verb implementations; each reads the typed config, whose "out" is a path
 # ---------------------------------------------------------------------------
@@ -76,7 +68,7 @@ def _cmd_score(cfg) -> None:
     if cfg["fmt"] == "json":
         _write_json(cfg["out"], {k: np.asarray(v).tolist() for k, v in cols.items()})
         return
-    _write_csv(cfg["out"], cols, cols.values())
+    core._write_csv(cfg["out"], cols, cols.values())
 
 
 def _cmd_fit_gmm(cfg) -> None:
@@ -145,9 +137,9 @@ def _cmd_attribute(cfg) -> None:
     if cfg["fmt"] == "json":
         _write_json(cfg["out"], payload)
         return
-    _write_csv(cfg["out"], _ATTRIBUTION_COLUMNS,
-               [np.array([getattr(rep, name) for rep in reports])
-                for name in _ATTRIBUTION_COLUMNS])
+    core._write_csv(cfg["out"], _ATTRIBUTION_COLUMNS,
+                    [np.array([getattr(rep, name) for rep in reports])
+                     for name in _ATTRIBUTION_COLUMNS])
 
 
 def _cmd_train_toy(cfg) -> None:
@@ -191,7 +183,7 @@ def _cmd_pca(cfg) -> None:
     if labels is not None:
         header.append("label")
         columns.append(labels.labels)
-    _write_csv(cfg["out"], header, columns)
+    core._write_csv(cfg["out"], header, columns)
     _write_json(cfg["out"] + ".components.json",
                 {"components": comps.tolist(),
                  "explained_variance_ratio": ratios.tolist()})
@@ -386,7 +378,7 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OodkitError as e:
+    except (OodkitError, MemoryError) as e:  # MemoryError: a size numpy cannot allocate
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

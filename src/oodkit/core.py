@@ -9,7 +9,6 @@ load and all arithmetic is done in 64-bit.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -86,6 +85,8 @@ def _typed(kind, value):
         if not math.isfinite(value):
             raise ValueError(f"expected a finite number, got {value!r}")
         return float(value)
+    if isinstance(value, str) and "\0" in value:  # open() would raise on a path
+        raise ValueError(f"expected a string without NUL, got {value!r}")
     if isinstance(value, kind):
         return value
     raise ValueError(f"expected {kind.__name__}, got {value!r}")
@@ -319,7 +320,12 @@ def save_features(path, features: FeatureMatrix, labels: LabelVector | None = No
     if labels is not None and labels.n != features.n:
         raise DimensionError("label count does not match feature count")
     if fmt == "csv":
-        _save_features_csv(path, features, labels)
+        header = [f"h{i}" for i in range(features.h)]
+        columns = list(features.data.T)
+        if labels is not None:
+            header.append("label")
+            columns.append(labels.labels)
+        _write_csv(path, header, columns)
     elif fmt == "binary":
         _save_features_binary(path, features, labels)
     else:
@@ -339,26 +345,22 @@ def load_features(path):
         return _load_features_binary(path) if binary else _load_features_csv(path)
 
 
-def _save_features_csv(path, features, labels):
+def _write_csv(path, header, columns) -> None:
+    """A header line (none for an empty ``header``), then row i holds the
+    repr of entry i of every column; every line ends with "\\n"."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        header = [f"h{i}" for i in range(features.h)]
-        if labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(features.n):
-            row = [repr(float(v)) for v in features.data[i]]
-            if labels is not None:
-                row.append(str(int(labels.labels[i])))
-            writer.writerow(row)
+        if header:
+            f.write(",".join(header) + "\n")
+        text = [map(repr, col.tolist()) for col in columns]
+        f.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
 def _load_features_csv(path):
     with open(path, newline="") as f:
-        header = next(csv.reader(f), None)
-        if header is None:
-            raise DataFormatError("empty feature file")
-        has_labels = bool(header) and header[-1] == "label"
+        header = f.readline().rstrip("\r\n").split(",")
+        if header == [""]:
+            raise DataFormatError("feature file has no header line")
+        has_labels = header[-1] == "label"
         h = len(header) - (1 if has_labels else 0)
         if h < 1 or header[:h] != [f"h{i}" for i in range(h)]:
             raise DataFormatError("malformed feature header, expected h0..h{H-1}[,label]")
@@ -430,11 +432,7 @@ def _load_features_binary(path):
 
 def save_head(path, head: SoftmaxHead) -> None:
     """Head file: H rows x K columns of weights, one trailing row for b."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in head.w:
-            writer.writerow([repr(float(v)) for v in row])
-        writer.writerow([repr(float(v)) for v in head.b])
+    _write_csv(path, [], np.vstack([head.w, head.b]).T)
 
 
 def load_head(path) -> SoftmaxHead:

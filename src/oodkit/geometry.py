@@ -117,15 +117,14 @@ def check_linear_separability(mixture: GaussianMixture, w: np.ndarray,
 
 
 def solve_alpha_exact_k2(mixture: GaussianMixture, head: SoftmaxHead,
-                         epsilon: float, tol: float = 1e-10,
-                         max_doublings: int = 60) -> SlabRegion:
+                         epsilon: float) -> SlabRegion:
     """Exact two-class slab width.
 
     Requires w_1 = -w_2 and one mixture component per class. Solves for
     alpha > 0 such that the class-Gaussian mass outside the slab
     |w_1 . (z - z_0)| < alpha ||w_1||^2 equals 1 - epsilon, by bisection on
     the analytic half-space integrals down to a bracket of width
-    tol * max(1, alpha).
+    1e-10 * max(1, alpha).
     """
     if mixture.k_components != 2 or head.k != 2:
         raise ConfigError("exact slab solve is defined for two classes")
@@ -147,7 +146,7 @@ def solve_alpha_exact_k2(mixture: GaussianMixture, head: SoftmaxHead,
         return _gaussian_mass_outside_slab(mixture, w1, boundary - alpha * nsq,
                                            boundary + alpha * nsq)
 
-    alpha = _first_crossing(out_mass, 1.0 - epsilon, tol, max_doublings)
+    alpha = _first_crossing(out_mass, 1.0 - epsilon, 1e-10)
     anchor = w1 * (boundary / nsq)
     return SlabRegion(normal=w1, anchor=anchor, alpha_lo=alpha, alpha_hi=alpha)
 
@@ -212,20 +211,17 @@ def _u_max_values(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
     return -softmax_from_logits(_logits_rows(head, z) + head.b).max(axis=1)
 
 
-def _first_crossing(f, level: float, tol: float, max_doublings: int = 60) -> float:
+def _first_crossing(f, level: float, tol: float) -> float:
     """Smallest t > 0 with f(t) <= level, for f decreasing in t.
 
-    The bracket [0, 1] doubles until f(hi) <= level, then bisection stops
-    once the bracket is narrower than tol * max(1, hi).
+    The bracket [0, 1] doubles until f(hi) <= level, at most 60 times, then
+    bisection stops once the bracket is narrower than tol * max(1, hi).
     """
     hi = 1.0
-    doublings = 0
     while f(hi) > level:
+        if hi == 2.0 ** 60:
+            raise NumericalError(f"no crossing of {level!r} within 60 bracket doublings")
         hi *= 2.0
-        doublings += 1
-        if doublings > max_doublings:
-            raise NumericalError(f"no crossing of {level!r} within "
-                                 f"{max_doublings} bracket doublings")
     lo = 0.0
     while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)

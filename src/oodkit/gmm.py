@@ -7,15 +7,16 @@ C-contiguous (a transposed view gives bits that depend on the row count).
 Fitted mixtures are immutable and safe to share.
 
 The Gaussian kernels (``mahalanobis_sq`` and everything built on it, and
-the k-means++ distances) walk the rows in blocks of about ``_BLOCK_BYTES``
-per temporary (K'H wide for the whitened rows), so their scratch memory does
-not grow with N; only the N x K' outputs do. Each row's result does not depend on
-the block it falls in, so the outputs are bitwise those of one whole-batch
-pass, and a row's ``log_density`` equals its ``log_density_batch`` entry.
-The EM M-step is not blocked: its covariance products reduce over N.
-``sample_chunks`` streams the Gaussian draws in the same row blocks, one
-component at a time through one reused buffer, so a caller that only counts
-(the Monte Carlo region mass) holds O(block x H) scratch memory for any n.
+the k-means distances ``_sq_dists``) walk the rows in blocks of about
+``_BLOCK_BYTES`` per temporary (K'H wide for the whitened rows), so their
+scratch memory does not grow with N; only the N x K' outputs do. Each row's
+result does not depend on the block it falls in, so the outputs are bitwise
+those of one whole-batch pass, and a row's ``log_density`` equals its
+``log_density_batch`` entry. The EM M-step is not blocked: its covariance
+products reduce over N. ``sample_chunks`` streams the Gaussian draws in the
+same row blocks, one component at a time through one reused buffer, so a
+caller that only counts (the Monte Carlo region mass) holds O(block x H)
+scratch memory for any n.
 """
 
 from __future__ import annotations
@@ -266,38 +267,35 @@ class GaussianMixture:
             return cls.from_dict(json.load(f))
 
 
-def _nearest_center(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    assign = np.empty(x.shape[0], dtype=np.intp)
+def _sq_dists(x: np.ndarray, centers) -> np.ndarray:
+    """Squared Euclidean distance of each row to every centre (N x C), one
+    row block at a time."""
+    out = np.empty((x.shape[0], len(centers)))
     for rows in _row_blocks(*x.shape):
-        xb = x[rows]
-        d2 = np.empty((xb.shape[0], centers.shape[0]))
         for i, c in enumerate(centers):
-            d2[:, i] = ((xb - c) ** 2).sum(axis=1)
-        assign[rows] = np.argmin(d2, axis=1)
-    return assign
+            out[rows, i] = ((x[rows] - c) ** 2).sum(axis=1)
+    return out
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator,
-                    n_iter: int = 10) -> np.ndarray:
+def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Each row's nearest centre after k-means++ seeding and 10 Lloyd steps."""
     n = x.shape[0]
     centers = [x[rng.integers(n)]]
     d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
     for _ in range(k - 1):
-        for rows in _row_blocks(*x.shape):
-            dist = ((x[rows] - centers[-1]) ** 2).sum(axis=1)
-            np.minimum(d2[rows], dist, out=d2[rows])
+        np.minimum(d2, _sq_dists(x, centers[-1:])[:, 0], out=d2)
         total = d2.sum()
         if total <= 0:
             centers.append(x[rng.integers(n)])
             continue
         centers.append(x[rng.choice(n, p=d2 / total)])
     centers = np.array(centers)
-    for _ in range(n_iter):
-        assign = _nearest_center(x, centers)
+    for _ in range(10):
+        assign = np.argmin(_sq_dists(x, centers), axis=1)
         for i in range(k):
             if np.any(assign == i):
                 centers[i] = x[assign == i].mean(axis=0)
-    return _nearest_center(x, centers)
+    return np.argmin(_sq_dists(x, centers), axis=1)
 
 
 def _moment_match(x, assign, k, reg, h):
@@ -335,8 +333,8 @@ def fit_em(features: FeatureMatrix, labels: LabelVector | None = None,
     n, h = x.shape
     if k_components is None:
         k_components = labels.k if labels is not None else 1
-    if k_components < 1:
-        raise ConfigError("k_components must be >= 1")
+    if not 1 <= k_components <= n:
+        raise ConfigError(f"k_components must be in [1, {n}], the row count")
     if n <= h * k_components:
         warnings.warn("few samples per component relative to dimension; "
                       "covariances may be poorly conditioned", stacklevel=2)

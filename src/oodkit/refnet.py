@@ -491,10 +491,10 @@ class SweepState:
                 for c in range(self.model.spec.k)}
 
 
-def confidence_sweep(model: MlpModel, sampler: SyntheticTask, n_samples: int,
-                     top_m: int, chunk: int = 4096):
+def confidence_sweep(model: MlpModel, sampler: SyntheticTask, n_samples: int, top_m: int):
     """Stream sampler draws and keep the top_m most-confident inputs per
-    argmax class. Memory stays O(top_m * K * D + chunk * D).
+    argmax class. The draws come in chunks of 4096, chunk i drawn with the
+    sampler's seed + 7919 * i, so memory stays O(top_m * K * D + 4096 * D).
 
     Returns a dict class -> (top_m x D inputs, confidences sorted
     descending).
@@ -503,14 +503,10 @@ def confidence_sweep(model: MlpModel, sampler: SyntheticTask, n_samples: int,
         raise ConfigError("n_samples must be >= top_m * K")
     state = SweepState(model, top_m)
     seed = _typed_params(TASKS[sampler.kind], sampler.params, "task parameter")["seed"]
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        xs, _ = generate(sampler.with_params(n=m, seed=seed + 7919 * chunk_idx))
+    for i, done in enumerate(range(0, n_samples, 4096)):
+        xs, _ = generate(sampler.with_params(n=min(4096, n_samples - done),
+                                             seed=seed + 7919 * i))
         state.update(xs.data)
-        done += m
-        chunk_idx += 1
     return state.result()
 
 

@@ -462,6 +462,28 @@ class TestExitCodes:
         assert _run(verb, "--outdir", str(tmp_path / "out"), *flags) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("verb, key", [("gen-head", "out"), ("score", "features")])
+    def test_nul_in_config_path_is_config_error(self, tmp_path, capsys, verb, key):
+        (tmp_path / "cfg.json").write_text(json.dumps({key: "a\u0000b"}))
+        assert _run(verb, "--outdir", str(tmp_path),
+                    "--config", str(tmp_path / "cfg.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_unallocatable_size_is_config_error(self, tmp_path, capsys):
+        # numpy refuses the 10**16 x 2 draws (142 PiB) without allocating them
+        assert _run("gen-head", "--outdir", str(tmp_path), "--k", "3",
+                    "--h", str(10 ** 16)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_more_components_than_rows_is_config_error(self, tmp_path, capsys):
+        _write_cluster_features(tmp_path / "f.csv", n=10)  # 30 rows
+        assert _run("fit-gmm", "--outdir", str(tmp_path), "--features", str(tmp_path / "f.csv"),
+                    "--init", "kmeans_pp", "--k-components", "31") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
 
 def _fuzz_inputs():
     """Valid inputs of score --gmm and sweep --model, as bytes by file name."""
@@ -522,6 +544,46 @@ class TestMutatedInputs:
             argv = [os.path.join(tmp, a) if a in files else a for a in argv]
             with redirect_stderr(io.StringIO()) as err:
                 code = main(argv + ["--outdir", os.path.join(tmp, "out")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL)
+        assert err.getvalue().count("\n") <= 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_exits_cleanly(self, data):
+        verb = data.draw(st.sampled_from(["score", "attribute"]), label="verb")
+        payload = ({"features": "f.csv", "head": "head.csv", "gmm": "gmm.json",
+                    "fmt": "csv", "cool_temperature": 0.5, "out": "scores.csv"}
+                   if verb == "score" else
+                   {"rows": [[0.8, 0.85, 0.9, 0.95], [0.9, 0.92, 0.95, 0.99]],
+                    "fmt": "csv", "out": "attr.csv"})
+        how = data.draw(st.sampled_from(["truncate", "drop key", "add key", "value"]),
+                        label="how")
+        with tempfile.TemporaryDirectory() as tmp:
+            for fname, content in _FUZZ_INPUTS.items():
+                Path(tmp, fname).write_bytes(content)
+            for key in ("features", "head", "gmm"):
+                if key in payload:
+                    payload[key] = os.path.join(tmp, payload[key])
+            if how == "drop key":
+                del payload[data.draw(st.sampled_from(sorted(payload)), label="key")]
+            elif how == "add key":
+                payload["extra"] = 1
+            elif how == "value":
+                # any entry, top-level or inside the rows
+                rows = payload.get("rows", [])
+                slots = ([(payload, key) for key in payload]
+                         + [(rows, i) for i in range(len(rows))]
+                         + [(row, i) for row in rows for i in range(4)])
+                where, key = data.draw(st.sampled_from(slots), label="slot")
+                where[key] = data.draw(st.sampled_from(
+                    [float("nan"), "x", "", "a\u0000b", [], {}, None, True]), label="value")
+            raw = json.dumps(payload).encode()
+            if how == "truncate":
+                raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+            Path(tmp, "cfg.json").write_bytes(raw)
+            with redirect_stderr(io.StringIO()) as err:
+                code = main([verb, "--config", os.path.join(tmp, "cfg.json"),
+                             "--outdir", os.path.join(tmp, "out")])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL)
         assert err.getvalue().count("\n") <= 1
 
@@ -656,6 +718,21 @@ class TestPca:
         comps = json.loads((tmp_path / "pca.csv.components.json").read_text())
         assert len(comps["components"]) == 2
         assert 0.0 < sum(comps["explained_variance_ratio"]) <= 1.0 + 1e-12
+
+
+class TestCsvFiles:
+    @pytest.mark.parametrize("writer", ["save_features", "save_head", "gen-head", "score",
+                                        "pca", "attribute"])
+    def test_lines_end_with_newline_alone(self, tmp_path, monkeypatch, writer):
+        monkeypatch.chdir(tmp_path)
+        save_head(tmp_path / "head.csv", _write_cluster_features(tmp_path / "features.csv"))
+        argv = {"gen-head": ["gen-head"], "score": ["score"], "pca": ["pca"],
+                "attribute": ["attribute", "--format", "csv", "--row", "0.8,0.85,0.9,0.95"]}
+        path = {"save_features": "features.csv", "save_head": "head.csv"}.get(writer, "out.csv")
+        if writer in argv:
+            assert _run(*argv[writer], "--out", path) == EXIT_OK
+        raw = (tmp_path / path).read_bytes()
+        assert raw.endswith(b"\n") and b"\r" not in raw
 
 
 class TestSmallStudies:

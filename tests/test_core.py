@@ -175,10 +175,12 @@ class TestFeatureFiles:
             save_features(tmp_path / "f.csv", fm, LabelVector(np.array([0]), k=1))
 
     def test_malformed_header_rejected(self, tmp_path):
+        # a quoted header is rejected like a quoted number in a row
         p = tmp_path / "bad.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(DataFormatError):
-            load_features(p)
+        for text in ["a,b\n1,2\n", '"h0","h1"\n1.0,2.0\n']:
+            p.write_text(text)
+            with pytest.raises(DataFormatError):
+                load_features(p)
 
     @pytest.mark.parametrize("newline", ["\r\n", "\n"])
     def test_csv_roundtrip_is_bit_exact(self, tmp_path, newline):
@@ -186,7 +188,7 @@ class TestFeatureFiles:
         data = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-300, 300, size=(50, 6))
         p = tmp_path / "f.csv"
         save_features(p, FeatureMatrix(data), LabelVector(rng.integers(0, 3, 50), k=3))
-        p.write_bytes(p.read_bytes().replace(b"\r\n", newline.encode()))
+        p.write_bytes(p.read_bytes().replace(b"\n", newline.encode()))
         fm, _ = load_features(p)
         np.testing.assert_array_equal(fm.data, data)
 

@@ -8,7 +8,7 @@ from scipy.stats import multivariate_normal
 from oodkit.core import FeatureMatrix, LabelVector
 from oodkit.errors import ConfigError, DataFormatError, DimensionError, SingularModelError
 from oodkit.gmm import (_BLOCK_BYTES, EmConfig, GaussianMixture, _kmeans_pp_init,
-                        _nearest_center, _row_blocks, fit_em)
+                        _row_blocks, _sq_dists, fit_em)
 
 
 def _two_blob_data(n_per=150, seed=0):
@@ -200,12 +200,12 @@ class TestComponentLogDensities:
 
     def test_kernels_hold_less_than_the_input(self):
         # Whole-batch kernels peak at 80.8 MB (mahalanobis_sq) and 30.0 MB
-        # (_nearest_center) on this 25.6 MB input.
+        # (the k-means distances) on this 25.6 MB input.
         rng = np.random.default_rng(8)
         x = rng.standard_normal((50_000, 64))
         gmm = _random_mixture(8)
         centers = x[rng.choice(x.shape[0], 10, replace=False)]
-        for kernel in (gmm.mahalanobis_sq, lambda x: _nearest_center(x, centers)):
+        for kernel in (gmm.mahalanobis_sq, lambda x: _sq_dists(x, centers)):
             tracemalloc.start()
             try:
                 kernel(x)
@@ -348,6 +348,17 @@ class TestFitEm:
             _, history = fit_em(FeatureMatrix(x), k_components=k, cfg=cfg,
                                 return_history=True)
             assert np.all(np.diff(history) > -1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_monotone_at_benchmark_shape(self, seed):
+        # N=5000, H=64, K=10 overlapping clusters from k-means++, the fit-gmm shape
+        rng = np.random.default_rng(seed)
+        centers = 2.0 * rng.standard_normal((10, 64))
+        x = centers[rng.integers(10, size=5000)] + rng.standard_normal((5000, 64))
+        cfg = EmConfig(seed=seed, init="kmeans_pp", max_iter=15, rel_tol=1e-12)
+        _, history = fit_em(FeatureMatrix(x), k_components=10, cfg=cfg, return_history=True)
+        assert len(history) >= 2
+        assert np.all(np.diff(history) >= -1e-9 * np.abs(history[1:]))
 
     def test_deterministic_for_seed(self):
         fm, _ = _two_blob_data(seed=6)
