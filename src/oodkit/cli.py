@@ -111,9 +111,8 @@ def _per_class_gaussian(features, labels) -> gmm_mod.GaussianMixture:
     counts = np.bincount(labels.labels, minlength=labels.k)
     if np.any(counts < 2):
         raise ConfigError(f"class {int(np.argmax(counts < 2))} has fewer than 2 samples")
-    priors, means, covs = gmm_mod._moment_match(features.data, labels.labels, labels.k,
-                                                1e-9, features.h)
-    return gmm_mod.GaussianMixture(priors, means, covs)
+    return gmm_mod.GaussianMixture(*gmm_mod._moment_match(features.data, labels.labels,
+                                                          labels.k, 1e-9))
 
 
 _ATTRIBUTION_COLUMNS = ("auroc_max", "auroc_entropy", "auroc_cool", "auroc_density",
@@ -321,15 +320,17 @@ def _config(verb: str, args) -> dict:
     copy holds them typed, with ``out`` joined onto the output directory.
     """
     params = VERBS[verb][2]
+    paths = core._typed_params({"--config": (str, None), "--outdir": (str, None)},
+                               {"--config": args.config, "--outdir": args.outdir}, "flag")
     given = {}
-    if args.config:
-        with open(args.config) as f, core._file_content("config file"):
+    if paths["--config"]:
+        with open(paths["--config"]) as f, core._file_content("config file"):
             given = json.load(f)
         if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
     given.update((key, v) for key, v in vars(args).items() if key in params and v is not None)
     typed = core._typed_params(params, given, "config key")
-    outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
+    outdir = paths["--outdir"] or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)
     _write_json(os.path.join(outdir, f"{verb.replace('-', '_')}_effective_config.json"),
                 {key: given.get(key, spec[1]) for key, spec in params.items()})

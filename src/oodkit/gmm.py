@@ -12,11 +12,11 @@ the k-means distances ``_sq_dists``) walk the rows in blocks of about
 scratch memory does not grow with N; only the N x K' outputs do. Each row's
 result does not depend on the block it falls in, so the outputs are bitwise
 those of one whole-batch pass, and a row's ``log_density`` equals its
-``log_density_batch`` entry. The EM M-step is not blocked: its covariance
-products reduce over N. ``sample_chunks`` streams the Gaussian draws in the
-same row blocks, one component at a time through one reused buffer, so a
-caller that only counts (the Monte Carlo region mass) holds O(block x H)
-scratch memory for any n.
+``log_density_batch`` entry. The EM moments (``_moments``) are not blocked:
+they reduce over N, through one N x H buffer per component. ``sample_chunks``
+streams the Gaussian draws in the same row blocks, one component at a time
+through one reused buffer, so a caller that only counts (the Monte Carlo
+region mass) holds O(block x H) scratch memory for any n.
 """
 
 from __future__ import annotations
@@ -298,19 +298,25 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return np.argmin(_sq_dists(x, centers), axis=1)
 
 
-def _moment_match(x, assign, k, reg, h):
-    weights = np.empty(k)
-    means = np.empty((k, h))
-    covs = np.empty((k, h, h))
-    for i in range(k):
-        xi = x[assign == i]
-        if xi.shape[0] == 0:
-            return None
-        weights[i] = xi.shape[0] / x.shape[0]
-        means[i] = xi.mean(axis=0)
-        d = xi - means[i]
-        covs[i] = d.T @ d / xi.shape[0] + reg * np.eye(h)
-    return weights, means, covs
+def _moments(x: np.ndarray, r: np.ndarray, reg: float):
+    """Mass nk = sum(r), mean r @ x / nk and covariance d.T @ d / nk + reg*I
+    of the rows of x weighted by r, with d = sqrt(r) * (x - mean) in one N x H
+    buffer; numpy sends d.T @ d to SYRK, so the covariance is exactly symmetric."""
+    nk = r.sum()
+    if not nk > 0:
+        raise SingularModelError("component collapsed to zero responsibility")
+    mean = r @ x / nk
+    d = x - mean
+    d *= np.sqrt(r)[:, None]
+    return nk, mean, d.T @ d / nk + reg * np.eye(x.shape[1])
+
+
+def _moment_match(x, assign, k, reg):
+    """Weights, means and covariances of the k components that ``assign``
+    gives the rows of x, each from its own rows."""
+    parts = (x[assign == i] for i in range(k))
+    nk, means, covs = map(np.array, zip(*(_moments(xi, np.ones(len(xi)), reg) for xi in parts)))
+    return nk / len(x), means, covs
 
 
 def fit_em(features: FeatureMatrix, labels: LabelVector | None = None,
@@ -346,13 +352,12 @@ def fit_em(features: FeatureMatrix, labels: LabelVector | None = None,
         assign = _kmeans_pp_init(x, k_components, rng)
 
     for attempt in range(4):
-        params = _moment_match(x, assign, k_components, cfg.reg, h)
-        if params is not None:
+        if np.bincount(assign, minlength=k_components).min() > 0:
             break
         if attempt == 3:
             raise SingularModelError("empty component after 3 reinitializations")
         assign = _kmeans_pp_init(x, k_components, rng)
-    weights, means, covs = params
+    weights, means, covs = _moment_match(x, assign, k_components, cfg.reg)
 
     history = []
     prev_ll = -np.inf
@@ -367,14 +372,9 @@ def fit_em(features: FeatureMatrix, labels: LabelVector | None = None,
             break
         prev_ll = ll
 
-        nk = resp.sum(axis=0)
-        if np.any(nk <= 0):
-            raise SingularModelError("component collapsed to zero responsibility")
+        nk, means, covs = map(np.array, zip(*(_moments(x, resp[:, i], cfg.reg)
+                                              for i in range(k_components))))
         weights = nk / n
-        means = (resp.T @ x) / nk[:, None]
-        for i in range(k_components):
-            d = x - means[i]
-            covs[i] = (resp[:, i, None] * d).T @ d / nk[i] + cfg.reg * np.eye(h)
 
     fitted = GaussianMixture(weights, means, covs, reg=cfg.reg,
                              log_transform=cfg.log_transform)

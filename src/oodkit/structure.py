@@ -7,6 +7,7 @@ norm/bias/angle audit applied to trained heads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,15 @@ class OptimalStructureSpec:
             raise ConfigError("equiangular construction needs h >= k - 1")
         if not 0 < self.c1 < np.inf:  # NaN fails it too
             raise ConfigError("c1 must be finite and > 0")
+        _check_size(max(self.k, self.h), self.k)
+
+
+def _check_size(*shape: int) -> None:
+    """ConfigError for a float64 array of ``shape`` whose byte count numpy
+    cannot index (numpy would raise ValueError before allocating it)."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise ConfigError(f"a {' x '.join(map(str, shape))} float64 array is larger "
+                          "than numpy can address")
 
 
 def _random_orthonormal_map(h: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -88,6 +98,7 @@ def gen_counterfactual_head(kind: str, k: int = 3, h: int = 2, seed: int = 0,
         raise ConfigError(f"unknown counterfactual kind {kind!r}")
     if not 0 < c < np.inf:  # NaN fails it too
         raise ConfigError("c must be finite and > 0")
+    _check_size(h, h if h > 2 and seed is not None else 3)
     w2d = np.zeros((2, 3))
     b = np.zeros(3)
     if kind == "sandwich":

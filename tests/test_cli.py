@@ -477,6 +477,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--config", "--outdir"])
+    def test_nul_in_path_flag_is_config_error(self, capsys, flag):
+        # checked before anything is read or written
+        assert _run("gen-head", flag, "a\u0000b") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: flag {flag}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["optimal", "sandwich"])
+    @pytest.mark.parametrize("h", [2 ** 62, 10 ** 20])
+    def test_unindexable_size_is_config_error(self, tmp_path, capsys, kind, h):
+        # numpy raises ValueError, not MemoryError, for byte counts past intp
+        assert _run("gen-head", "--outdir", str(tmp_path), "--kind", kind, "--k", "3",
+                    "--h", str(h)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_more_components_than_rows_is_config_error(self, tmp_path, capsys):
         _write_cluster_features(tmp_path / "f.csv", n=10)  # 30 rows
         assert _run("fit-gmm", "--outdir", str(tmp_path), "--features", str(tmp_path / "f.csv"),

@@ -7,7 +7,7 @@ from scipy.stats import multivariate_normal
 
 from oodkit.core import FeatureMatrix, LabelVector
 from oodkit.errors import ConfigError, DataFormatError, DimensionError, SingularModelError
-from oodkit.gmm import (_BLOCK_BYTES, EmConfig, GaussianMixture, _kmeans_pp_init,
+from oodkit.gmm import (_BLOCK_BYTES, EmConfig, GaussianMixture, _kmeans_pp_init, _moments,
                         _row_blocks, _sq_dists, fit_em)
 
 
@@ -322,7 +322,59 @@ class TestKmeansInit:
             _kmeans_pp_init_reference(x, 5, np.random.default_rng(6)))
 
 
+class TestMoments:
+    # A sum of N float64 terms is within N * eps of the exact sum, relative
+    # to the sum of their magnitudes; both sides here are such sums.
+    N, H = 500, 6
+    TOL = N * np.finfo(np.float64).eps
+
+    def _data(self):
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((self.N, self.H)) * 3.0 + 1.0, rng.random(self.N)
+
+    def test_soft_weights_match_elementwise_reference(self):
+        x, r = self._data()
+        tol = self.TOL
+        nk, mean, cov = _moments(x, r, 1e-5)
+        ref_mean = (r[:, None] * x).sum(axis=0) / r.sum()
+        d = x - ref_mean
+        ref_cov = (r[:, None] * d).T @ d / r.sum() + 1e-5 * np.eye(self.H)
+        assert nk == pytest.approx(r.sum(), rel=tol)
+        np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=tol * np.abs(x).max())
+        np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=tol * np.abs(ref_cov).max())
+        assert np.array_equal(cov, cov.T)
+
+    def test_unit_weights_match_sample_moments(self):
+        x, _ = self._data()
+        tol = self.TOL
+        nk, mean, cov = _moments(x, np.ones(self.N), 0.0)
+        d = x - x.mean(axis=0)
+        ref_cov = d.T @ d / self.N
+        assert nk == self.N
+        np.testing.assert_allclose(mean, x.mean(axis=0), rtol=0, atol=tol * np.abs(x).max())
+        np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=tol * np.abs(ref_cov).max())
+
+    def test_zero_mass_raises_before_dividing(self):
+        x, r = self._data()
+        with pytest.raises(SingularModelError):
+            _moments(x, np.zeros_like(r), 1e-5)
+        with pytest.raises(SingularModelError):
+            _moments(x[:0], r[:0], 1e-5)
+
+
 class TestFitEm:
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    @pytest.mark.parametrize("init", ["labels", "kmeans_pp"])
+    def test_covariances_exactly_symmetric_at_large_scale(self, scale, init):
+        # a GEMM (r * d).T @ d is symmetric only to rounding, which passes the
+        # constructor's absolute 1e-10 bound from features of about 1e4 on
+        rng = np.random.default_rng(0)
+        y = np.repeat([0, 1], 500)
+        x = (rng.standard_normal((1000, 8)) + 3.0 * y[:, None]) * scale
+        gmm = fit_em(FeatureMatrix(x), labels=LabelVector(y, k=2), cfg=EmConfig(init=init))
+        for c in gmm.covariances:
+            assert np.array_equal(c, c.T)
+
     def test_recovers_separated_blobs(self):
         fm, lv = _two_blob_data()
         gmm = fit_em(fm, labels=lv)
