@@ -99,9 +99,16 @@ def _cmd_region(cfg) -> None:
     if n_mass > 0:
         if features is None or labels is None:
             raise ConfigError("mass estimation needs labeled --features")
+        contains = region.contains
+        if cfg["kind"] == "linear":
+            # The region reads z only through z.W = (z @ q).(q^T W), so its
+            # mass has the same distribution from draws in span(W).
+            q = geometry.span_basis(region.head.w)
+            features = core.FeatureMatrix(features.data @ q)
+            contains = region.span_contains(q)
         model = _per_class_gaussian(features, labels)
         payload["mc_mass"] = geometry.mc_region_mass(
-            region.contains, model, n=n_mass, seed=cfg["mass_seed"])
+            contains, model, n=n_mass, seed=cfg["mass_seed"])
         payload["mc_samples"] = n_mass
     _write_json(cfg["out"], payload)
 
@@ -144,8 +151,8 @@ def _cmd_attribute(cfg) -> None:
 def _cmd_train_toy(cfg) -> None:
     data = refnet.generate(refnet.SyntheticTask(cfg["task"], cfg["task_params"] or {}))
     frozen = core.load_head(cfg["frozen_head"]) if cfg["frozen_head"] else None
-    spec = refnet.MlpSpec((data[0].h,) + (cfg["width"],) * cfg["depth"],
-                          cfg["activation"], cfg["k"])
+    spec = refnet.MlpSpec.uniform(data[0].h, cfg["width"], cfg["depth"],
+                                  cfg["activation"], cfg["k"])
     tc = refnet.TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                             learning_rate=cfg["learning_rate"],
                             weight_decay=cfg["weight_decay"], seed=cfg["seed"],

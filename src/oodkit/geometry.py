@@ -28,6 +28,7 @@ __all__ = [
     "fit_linear_region",
     "density_region",
     "mc_region_mass",
+    "span_basis",
 ]
 
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -184,14 +185,29 @@ class LinearApproxRegion:
     def contains(self, z: np.ndarray) -> np.ndarray:
         """Rows inside a slab of a pair that holds their argmax class.
 
-        One z.W serves the argmax and every slab: n.z = zw_i - zw_j. A
-        NaN row fails every comparison and stays outside. The logits come
-        from ``_logits_rows``, whose rows do not depend on the batch split,
-        so neither does a row's answer; a BLAS z @ W gives other bits on a
-        few rows (a small-matrix path, or GEMV on one).
+        The logits come from ``_logits_rows``, whose rows do not depend on
+        the batch split, so neither does a row's answer; a BLAS z @ W gives
+        other bits on a few rows (a small-matrix path, or GEMV on one).
         """
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        zw = _logits_rows(self.head, z)
+        return self._member(_logits_rows(self.head, z))
+
+    def span_contains(self, q: np.ndarray):
+        """``contains`` for rows y = z @ q, with q = ``span_basis(head.w)``.
+
+        Since W = q q^T W, z.W = y.(q^T W): the same membership, on the
+        logits of y through the r x K head q^T W. So a Gaussian's mass in
+        the region can be counted from r-wide draws of y.
+        """
+        head = SoftmaxHead(q.T @ self.head.w, self.head.b)
+        return lambda y: self._member(_logits_rows(head, y))
+
+    def _member(self, zw: np.ndarray) -> np.ndarray:
+        """Membership of rows from their bias-free logits zw = z.W.
+
+        One zw serves the argmax and every slab: n.z = zw_i - zw_j. A NaN
+        row fails every comparison and stays outside.
+        """
         argmax = np.argmax(zw + self.head.b, axis=1)
         d = np.take_along_axis(zw, argmax[:, None], axis=1) - zw
         return ((self._lo[argmax] < d) & (d < self._hi[argmax])).any(axis=1)
@@ -204,6 +220,13 @@ class LinearApproxRegion:
             "slabs": [{"pair": [i, j], **slab.to_dict()}
                       for (i, j), slab in sorted(self.slabs.items())],
         }
+
+
+def span_basis(w: np.ndarray) -> np.ndarray:
+    """Orthonormal basis Q (H x r) of the column span of w: its left singular
+    vectors with s > s_0 * 1e-12, so w = Q Q^T w and r <= min(H, K)."""
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    return u[:, s > s[0] * 1e-12]
 
 
 def _u_max_values(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
@@ -329,9 +352,13 @@ def mc_region_mass(contains, sampler: GaussianMixture, n: int = DEFAULT_MC_SAMPL
 
     ``sampler`` is the GaussianMixture to draw from, in batches of ``batch``
     draws; ``contains`` maps each piece of a batch that
-    ``sampler.sample_chunks`` yields (an M x H array, M >= 1) to booleans.
-    The hits are counted piece by piece, so the scratch memory does not grow
-    with ``batch``. Deterministic for a given (seed, batch) pair.
+    ``sampler.sample_chunks`` yields (an M x sampler.h array, M >= 1) to
+    booleans. The hits are counted piece by piece, so the scratch memory
+    does not grow with ``batch``. Deterministic for a given (seed, batch)
+    pair. The ``region`` verb counts a linear region in span(W): its
+    sampler is the mixture of the features projected on
+    ``span_basis(head.w)`` (r <= K - 1 columns for a zero-sum head), and
+    ``contains`` is ``span_contains`` of that basis.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")

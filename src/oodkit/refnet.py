@@ -76,6 +76,16 @@ class MlpSpec:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.k < 2:
             raise ConfigError("k must be >= 2")
+        for rows, cols in zip(widths, widths[1:] + (self.k,)):
+            structure._check_size(rows, cols)
+
+    @classmethod
+    def uniform(cls, d: int, width: int, depth: int, activation: str, k: int) -> "MlpSpec":
+        """``depth`` hidden layers of ``width`` on a D-wide input. Their
+        depth - 1 width x width weights are size-checked before the widths
+        tuple is built."""
+        structure._check_size(depth - 1, width, width)
+        return cls((d,) + (width,) * depth, activation, k)
 
     @property
     def d(self) -> int:
@@ -538,7 +548,7 @@ def depth_study(train_data, test_data, ood_features: FeatureMatrix,
         raise ConfigError("depth must be >= 1")
     rows = []
     for depth in depths:
-        spec = MlpSpec((train_x.h,) + (width,) * depth, activation, train_y.k)
+        spec = MlpSpec.uniform(train_x.h, width, depth, activation, train_y.k)
         models = train_stack([(train_x, train_y)] * len(seeds), spec,
                              [replace(cfg, seed=int(seed)) for seed in seeds])
         accs = [model.accuracy(*test_data) for model in models]

@@ -384,15 +384,29 @@ class TestExitCodes:
                     "--outdir", str(tmp_path / "out")) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
 
+    _LINE_CLASS = "h0,h1,label\n0,0,0\n1e8,1e8,0\n2e8,2e8,0\n1,0,1\n0,1,1\n1,1,1\n"
+
     def test_singular_class_is_numerical_error(self, tmp_path, capsys):
-        # class 0 lies on a line, so its moment-matched covariance is not PD
-        (tmp_path / "f.csv").write_text("h0,h1,label\n0,0,0\n1e8,1e8,0\n2e8,2e8,0\n"
-                                        "1,0,1\n0,1,1\n1,1,1\n")
-        (tmp_path / "head.csv").write_text("1.0,-1.0\n0.5,-0.5\n0,0\n")
+        # class 0 lies on a line, so its moment-matched covariance is not PD;
+        # W has rank 2 and the span basis is the identity, so the mass is
+        # drawn in all of R^2
+        (tmp_path / "f.csv").write_text(self._LINE_CLASS)
+        (tmp_path / "head.csv").write_text("2.0,0.0\n0.0,1.0\n0,0\n")
         assert _run("region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
                     "--features", str(tmp_path / "f.csv"), "--mass-samples", "1000",
                     "--outdir", str(tmp_path / "out")) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical error:")
+
+    def test_class_singular_off_the_head_span_is_counted(self, tmp_path):
+        # W has rank 1, and class 0's line is not orthogonal to span(W), so
+        # its projection has a positive variance and the mass is counted
+        (tmp_path / "f.csv").write_text(self._LINE_CLASS)
+        (tmp_path / "head.csv").write_text("1.0,-1.0\n0.5,-0.5\n0,0\n")
+        assert _run("region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
+                    "--features", str(tmp_path / "f.csv"), "--mass-samples", "1000",
+                    "--outdir", str(tmp_path / "out")) == EXIT_OK
+        region = json.loads((tmp_path / "out" / "region.json").read_text())
+        assert 0.0 <= region["mc_mass"] <= 1.0
 
     # bytes that are not UTF-8, in a config file and in a feature CSV
     @pytest.mark.parametrize("flags", [
@@ -490,6 +504,19 @@ class TestExitCodes:
         # numpy raises ValueError, not MemoryError, for byte counts past intp
         assert _run("gen-head", "--outdir", str(tmp_path), "--kind", kind, "--k", "3",
                     "--h", str(h)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["train-toy", "--width", str(2 ** 62)],
+        ["train-toy", "--depth", str(10 ** 20)],
+        ["depth-study", "--width", str(2 ** 62), "--seeds", "0"],
+        ["depth-study", "--depths", str(10 ** 20), "--seeds", "0"],
+    ], ids=["train-toy-width", "train-toy-depth", "depth-study-width", "depth-study-depth"])
+    def test_unindexable_layer_is_config_error(self, tmp_path, capsys, flags):
+        # past intp, numpy raises ValueError for the weights and Python
+        # OverflowError for the widths tuple, so the sizes are checked first
+        assert _run(*flags, "--epochs", "1", "--outdir", str(tmp_path)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 

@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2, norm
 
-from oodkit.core import FeatureMatrix, SoftmaxHead
+from oodkit.cli import _per_class_gaussian
+from oodkit.core import FeatureMatrix, LabelVector, SoftmaxHead
 from oodkit.errors import ConfigError
 from oodkit.estimators import score_batch, u_max
 from oodkit.geometry import (
@@ -17,6 +18,7 @@ from oodkit.geometry import (
     fit_linear_region,
     mc_region_mass,
     solve_alpha_exact_k2,
+    span_basis,
 )
 from oodkit.gmm import GaussianMixture
 from oodkit.structure import OptimalStructureSpec, gen_optimal_head
@@ -429,6 +431,73 @@ class TestMonteCarloMass:
         model = GaussianMixture([1.0], [[0.0]], [np.eye(1)])
         with pytest.raises(ConfigError):
             mc_region_mass(lambda z: z[:, 0] > 0, model, n=10, batch=batch)
+
+
+def _span_case(h, k, equiangular, seed=0, n=2000):
+    """A fitted linear region with random biases, and labelled features of
+    one unit Gaussian per class around 2 w_c."""
+    rng = np.random.default_rng(seed)
+    w = (gen_optimal_head(OptimalStructureSpec(k=k, h=h, c1=2.0), seed=seed).w
+         if equiangular else rng.standard_normal((h, k)))
+    head = SoftmaxHead(w=w, b=0.5 * rng.standard_normal(k))
+    y = rng.integers(0, k, n)
+    x = FeatureMatrix(2.0 * w[:, y].T + rng.standard_normal((n, h)))
+    return fit_linear_region(head, x, 0.05), x, LabelVector(y, k)
+
+
+def _within_of_a_face(region, z, rel):
+    """Rows whose full-H slab difference d = zw_a - zw_j lies within rel *
+    scale of a face of a pair (a, j) that holds their argmax class a."""
+    zw = z @ region.head.w
+    a = np.argmax(zw + region.head.b, axis=1)
+    d = np.take_along_axis(zw, a[:, None], axis=1) - zw
+    lo, hi = region._lo[a], region._hi[a]
+    scale = np.abs(zw).max(axis=1, keepdims=True) + np.abs(lo) + np.abs(hi)
+    near = np.minimum(np.abs(d - lo), np.abs(d - hi)) <= rel * scale
+    return (near & (np.arange(region.head.k) != a[:, None])).any(axis=1)
+
+
+class TestSpanCount:
+    """The linear region's mass counted from draws in span(W)."""
+
+    # (H, K, equiangular): zero-sum columns give rank K - 1, random ones K,
+    # and H < K gives H, where q is a rotation of all of R^H.
+    CASES = [(64, 10, True), (64, 10, False), (2, 3, True)]
+
+    @pytest.mark.parametrize("h, k, equiangular", CASES)
+    def test_basis_spans_w(self, h, k, equiangular):
+        region, _, _ = _span_case(h, k, equiangular)
+        w = region.head.w
+        q = span_basis(w)
+        assert q.shape == (h, min(h, k - 1 if equiangular else k))
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q @ (q.T @ w), w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("h, k, equiangular", CASES)
+    def test_membership_matches_full_width(self, h, k, equiangular):
+        region, x, labels = _span_case(h, k, equiangular)
+        q = span_basis(region.head.w)
+        z = _per_class_gaussian(x, labels).sample(50_000, np.random.default_rng(1))
+        keep = ~_within_of_a_face(region, z, 1e-9)
+        full = region.contains(z)
+        assert keep.sum() > 0.99 * len(z)
+        assert 0 < full.sum() < len(z)
+        np.testing.assert_array_equal(region.span_contains(q)(z @ q)[keep], full[keep])
+
+    @pytest.mark.parametrize("h, k, equiangular", [CASES[0], CASES[2]])
+    def test_mass_matches_full_width(self, h, k, equiangular):
+        # 4 combined binomial standard errors on each of three seeds
+        region, x, labels = _span_case(h, k, equiangular)
+        q = span_basis(region.head.w)
+        full_model = _per_class_gaussian(x, labels)
+        span_model = _per_class_gaussian(FeatureMatrix(x.data @ q), labels)
+        assert span_model.h == q.shape[1]
+        n = 60_000
+        for seed in (1, 2, 3):
+            full = mc_region_mass(region.contains, full_model, n=n, seed=seed)
+            span = mc_region_mass(region.span_contains(q), span_model, n=n, seed=seed)
+            se = np.sqrt((full * (1 - full) + span * (1 - span)) / n)
+            assert 0 < full < 1 and abs(full - span) <= 4 * se
 
 
 class TestSerialization:
