@@ -99,27 +99,10 @@ def _cmd_region(cfg) -> None:
     if n_mass > 0:
         if features is None or labels is None:
             raise ConfigError("mass estimation needs labeled --features")
-        contains = region.contains
-        if cfg["kind"] == "linear":
-            # The region reads z only through z.W = (z @ q).(q^T W), so its
-            # mass has the same distribution from draws in span(W).
-            q = geometry.span_basis(region.head.w)
-            features = core.FeatureMatrix(features.data @ q)
-            contains = region.span_contains(q)
-        model = _per_class_gaussian(features, labels)
-        payload["mc_mass"] = geometry.mc_region_mass(
-            contains, model, n=n_mass, seed=cfg["mass_seed"])
+        payload["mc_mass"] = geometry.region_mass(region, features, labels, n=n_mass,
+                                                  seed=cfg["mass_seed"])
         payload["mc_samples"] = n_mass
     _write_json(cfg["out"], payload)
-
-
-def _per_class_gaussian(features, labels) -> gmm_mod.GaussianMixture:
-    """Moment-matched per-class Gaussians, the sampling stand-in for p_in."""
-    counts = np.bincount(labels.labels, minlength=labels.k)
-    if np.any(counts < 2):
-        raise ConfigError(f"class {int(np.argmax(counts < 2))} has fewer than 2 samples")
-    return gmm_mod.GaussianMixture(*gmm_mod._moment_match(features.data, labels.labels,
-                                                          labels.k, 1e-9))
 
 
 _ATTRIBUTION_COLUMNS = ("auroc_max", "auroc_entropy", "auroc_cool", "auroc_density",

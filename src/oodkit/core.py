@@ -57,7 +57,8 @@ def _typed(kind, value):
     """``value`` checked against (and, for lists and dicts, parsed as)
     ``kind``; raises ValueError when it does not fit."""
     if isinstance(kind, tuple):
-        if value not in kind:
+        # of the choice's type too: 0 is not false, nor 1.0 a format version 1
+        if not any(type(value) is type(choice) and value == choice for choice in kind):
             raise ValueError(f"expected one of {list(kind)}, got {value!r}")
         return value
     if isinstance(kind, list):
@@ -378,7 +379,13 @@ def _load_features_csv(path):
                     raise DataFormatError(f"row {lineno} has {fields} fields, "
                                           f"expected {len(header)}")
                 if has_labels:
-                    labels.append(int(line.rpartition(",")[2]))
+                    # int() alone also takes digit separators, non-ASCII
+                    # digits and integers that int64 cannot hold
+                    label = line.rpartition(",")[2]
+                    if not (label.isascii() and "_" not in label
+                            and -2 ** 63 <= (value := int(label)) < 2 ** 63):
+                        raise ValueError(f"label {label!r}")
+                    labels.append(value)
                 yield line
             if lineno == 1:
                 raise DataFormatError("feature file has no data rows")
@@ -387,7 +394,7 @@ def _load_features_csv(path):
             data = np.loadtxt(checked_lines(), delimiter=",", usecols=range(h),
                               comments=None, ndmin=2)
         except ValueError as e:
-            raise DataFormatError(f"row {lineno}: non-numeric field") from e
+            raise DataFormatError(f"row {lineno}: non-numeric field or non-int64 label") from e
     features = FeatureMatrix(data)
     if has_labels:
         return features, LabelVector(np.array(labels), k=max(labels) + 1)
@@ -436,11 +443,16 @@ def save_head(path, head: SoftmaxHead) -> None:
 
 
 def load_head(path) -> SoftmaxHead:
-    """Read a head file with the number grammar of the feature CSV reader."""
-    with _file_content("head file"), warnings.catch_warnings():
+    """Read a head file with the number grammar of the feature CSV reader,
+    which also rejects blank lines (loadtxt would skip them)."""
+    with open(path, newline="") as f, _file_content("head file"), warnings.catch_warnings():
+        lines = f.readlines()
+        blank = [i for i, line in enumerate(lines, start=1) if line.isspace()]
+        if blank:
+            raise DataFormatError(f"head file row {blank[0]} is blank")
         # an empty file raises below; loadtxt's warning would add a line
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        arr = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         if arr.shape[0] < 2:
             raise DataFormatError("head file needs at least one weight row plus a bias row")
         return SoftmaxHead(w=arr[:-1], b=arr[-1])

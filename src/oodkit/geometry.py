@@ -4,7 +4,7 @@ Covers the empirical uncertainty threshold, the exact two-class slab
 (solved through the Gaussian half-space mass equation), the general-K
 union-of-slabs linear approximation fitted far from the origin, the
 per-component density region, and a seeded Monte Carlo mass estimator used
-as the oracle for all of them.
+as the oracle for all of them (``region_mass``, on labelled features).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, SoftmaxHead, _logits_rows, softmax_from_logits
+from .core import FeatureMatrix, LabelVector, SoftmaxHead, _logits_rows, softmax_from_logits
 from .errors import ConfigError, NumericalError
-from .gmm import GaussianMixture
+from .gmm import GaussianMixture, _moment_match
 
 __all__ = [
     "SlabRegion",
@@ -28,11 +28,12 @@ __all__ = [
     "fit_linear_region",
     "density_region",
     "mc_region_mass",
+    "region_mass",
     "span_basis",
 ]
 
-DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_MC_SEED = 20_240_601
+MC_BATCH = 100_000  # draws per batch of mc_region_mass
 FAR_FIELD_FACTOR = 1e3
 SEPARABILITY_TAIL = 1e-4
 
@@ -346,33 +347,45 @@ def density_region(gmm: GaussianMixture, epsilon: float) -> DensityRegion:
                          epsilon=epsilon)
 
 
-def mc_region_mass(contains, sampler: GaussianMixture, n: int = DEFAULT_MC_SAMPLES,
-                   seed: int = DEFAULT_MC_SEED, batch: int = 100_000) -> float:
-    """Monte Carlo estimate of the sampler's mass inside the region.
+def mc_region_mass(contains, sampler: GaussianMixture, n: int, seed: int) -> float:
+    """Monte Carlo estimate of the sampler's mass inside the region,
+    deterministic for a seed.
 
-    ``sampler`` is the GaussianMixture to draw from, in batches of ``batch``
-    draws; ``contains`` maps each piece of a batch that
+    ``sampler`` is the GaussianMixture to draw from, in batches of
+    ``MC_BATCH`` draws; ``contains`` maps each piece of a batch that
     ``sampler.sample_chunks`` yields (an M x sampler.h array, M >= 1) to
     booleans. The hits are counted piece by piece, so the scratch memory
-    does not grow with ``batch``. Deterministic for a given (seed, batch)
-    pair. The ``region`` verb counts a linear region in span(W): its
-    sampler is the mixture of the features projected on
-    ``span_basis(head.w)`` (r <= K - 1 columns for a zero-sum head), and
-    ``contains`` is ``span_contains`` of that basis.
+    does not grow with the batch. Each batch of m draws ends with
+    ``rng.permutation(m)``, so it counts exactly ``sampler.sample(m, rng)``.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if batch < 1:
-        raise ConfigError("batch must be >= 1")
     rng = np.random.default_rng(seed)
     hits = 0
-    done = 0
-    while done < n:
-        m = min(batch, n - done)
-        # The loop runs the generator to its end, which draws the shuffle,
-        # so the next batch starts where sample(m, rng) would leave rng.
+    for done in range(0, n, MC_BATCH):
+        m = min(MC_BATCH, n - done)
         for piece in sampler.sample_chunks(m, rng):
             hits += int(np.count_nonzero(contains(piece)))
-        done += m
+        rng.permutation(m)
     return hits / n
 
+
+def region_mass(region, features: FeatureMatrix, labels: LabelVector, n: int,
+                seed: int) -> float:
+    """Monte Carlo mass of ``region`` under p_in, from ``n`` draws of
+    ``seed``: one Gaussian per labelled class, moment-matched to its rows
+    (reg 1e-9). A ``LinearApproxRegion`` is counted in span(W) (see
+    ``span_contains``), on the classes moment-matched in the projection on
+    ``span_basis(head.w)``; any other region on H-wide draws. A class with
+    fewer than 2 rows raises ConfigError."""
+    classes, counts = np.unique(labels.labels, return_counts=True)
+    # the first class that is missing or has one row, else classes.size
+    c = int(np.argmax(np.append((classes != np.arange(classes.size)) | (counts < 2), True)))
+    if c < labels.k:
+        raise ConfigError(f"class {c} has fewer than 2 samples")
+    x, contains = features.data, region.contains
+    if isinstance(region, LinearApproxRegion):
+        q = span_basis(region.head.w)
+        x, contains = x @ q, region.span_contains(q)
+    sampler = GaussianMixture(*_moment_match(x, labels.labels, labels.k, 1e-9))
+    return mc_region_mass(contains, sampler, n=n, seed=seed)

@@ -182,22 +182,23 @@ class GaussianMixture:
 
     def sample_chunks(self, n: int, rng: np.random.Generator):
         """n draws in feature space (exponentiated under ``log_transform``),
-        yielded piece by piece; the generator returns the shuffle.
+        yielded piece by piece, before the shuffle that ``sample`` draws.
 
         The stream of ``rng.multivariate_normal(method="cholesky")`` per
         component: multinomial counts, then mean + N(0, I) @ L^T for each
-        component in ``_row_blocks``, then ``rng.permutation(n)``. L is the
-        cached ``np.linalg.cholesky`` factor, the one that call uses. No
-        piece is much shorter than a block unless its component is, so that
-        each piece's product has the bits of that call's whole-component
-        product. BLAS does not promise this: it held for every count tried
-        on OpenBLAS 0.3.31's SkylakeX kernel, and a BLAS that picks another
-        kernel for some piece shapes can leave the stream by an ulp on those
-        rows (``test_matches_stream_when_a_component_spans_pieces`` and
+        component in ``_row_blocks``. L is the cached ``np.linalg.cholesky``
+        factor, the one that call uses. No piece is much shorter than a
+        block unless its component is, so that each piece's product has the
+        bits of that call's whole-component product. BLAS does not promise
+        this: it held for every count tried on OpenBLAS 0.3.31's SkylakeX
+        kernel, and a BLAS that picks another kernel for some piece shapes
+        can leave the stream by an ulp on those rows
+        (``test_matches_stream_when_a_component_spans_pieces`` and
         ``test_matches_multivariate_normal_stream`` then fail). The pieces
         come in component order, each a view of one reused buffer that the
         next piece overwrites; only a 1-draw component gives a 1-row piece.
-        ``sample`` gathers them through the shuffle.
+        A caller that then draws ``rng.permutation(n)`` leaves ``rng`` where
+        ``sample(n, rng)`` does.
         """
         counts = rng.multinomial(n, self.weights)
         rows = min(int(counts.max(initial=0)), _block_rows(self.h) + 1)
@@ -210,21 +211,16 @@ class GaussianMixture:
                 piece = np.matmul(normals[:m], self._chols[i].T, out=draws[:m])
                 piece += self.means[i]
                 yield np.exp(piece, out=piece) if self.log_transform else piece
-        return rng.permutation(n)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws in feature space: the pieces of ``sample_chunks`` copied
-        into one n x H array and gathered through its shuffle."""
+        into one n x H array, then gathered through ``rng.permutation(n)``."""
         draws = np.empty((n, self.h))
-        pieces = self.sample_chunks(n, rng)
         start = 0
-        while True:
-            try:
-                piece = next(pieces)
-            except StopIteration as end:
-                return draws[end.value]
+        for piece in self.sample_chunks(n, rng):
             draws[start:start + len(piece)] = piece
             start += len(piece)
+        return draws[rng.permutation(n)]
 
     # -- persistence --------------------------------------------------------
 

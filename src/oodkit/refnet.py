@@ -61,9 +61,6 @@ class MlpSpec:
     layer_widths: tuple
     activation: str = "relu"
     k: int = 3
-    # When True the map into the final width H is linear (no activation),
-    # so final-layer activations are unbounded in R^H.
-    linear_features: bool = False
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
@@ -211,8 +208,9 @@ class MlpModel:
     FORMAT_VERSION = 1
     # The saved payload, {key: (type, default)} with the types of
     # core._typed; the arrays are checked when the model is built from them.
+    # linear_features is always false; the key stays so that older files load.
     PAYLOAD = {"format_version": ((FORMAT_VERSION,), ...), "layer_widths": ([int], ...),
-               "activation": (str, ...), "k": (int, ...), "linear_features": (bool, False),
+               "activation": (str, ...), "k": (int, ...), "linear_features": ((False,), False),
                "head_frozen": (bool, False), "weights": (list, ...), "biases": (list, ...),
                "head_w": (list, ...), "head_b": (list, ...)}
 
@@ -306,7 +304,7 @@ class MlpModel:
             "layer_widths": list(self.spec.layer_widths),
             "activation": self.spec.activation,
             "k": self.spec.k,
-            "linear_features": self.spec.linear_features,
+            "linear_features": False,
             "head_frozen": self.head_frozen,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
@@ -325,8 +323,7 @@ class MlpModel:
         DataFormatError."""
         with _file_content("model file"):
             p = _typed_params(cls.PAYLOAD, d, "key")
-            spec = MlpSpec(tuple(p["layer_widths"]), p["activation"], p["k"],
-                           p["linear_features"])
+            spec = MlpSpec(tuple(p["layer_widths"]), p["activation"], p["k"])
             return cls(spec, p["weights"], p["biases"], p["head_w"], p["head_b"],
                        head_frozen=p["head_frozen"])
 
@@ -344,11 +341,9 @@ def _forward(spec: MlpSpec, weights, biases, x: np.ndarray) -> list:
     """
     acts = [x]
     a = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    for w, b in zip(weights, biases):
         a = a @ w + b
-        if i < last or not spec.linear_features:
-            a = np.maximum(a, 0.0) if spec.activation == "relu" else np.tanh(a)
+        a = np.maximum(a, 0.0) if spec.activation == "relu" else np.tanh(a)
         acts.append(a)
     return acts
 
@@ -382,12 +377,9 @@ def _loss_and_grads(spec: MlpSpec, weights, biases, head_w, head_b, x, y,
     da = dlogits @ head_w.swapaxes(1, 2)
     g_w = [None] * len(weights)
     g_b = [None] * len(biases)
-    last = len(weights) - 1
-    for i in range(last, -1, -1):
+    for i in range(len(weights) - 1, -1, -1):
         a_out = acts[i + 1]
-        if i == last and spec.linear_features:
-            dpre = da
-        elif spec.activation == "relu":
+        if spec.activation == "relu":
             dpre = da * (a_out > 0.0)
         else:
             dpre = da * (1.0 - a_out ** 2)

@@ -98,7 +98,7 @@ def gen_counterfactual_head(kind: str, k: int = 3, h: int = 2, seed: int = 0,
         raise ConfigError(f"unknown counterfactual kind {kind!r}")
     if not 0 < c < np.inf:  # NaN fails it too
         raise ConfigError("c must be finite and > 0")
-    _check_size(h, h if h > 2 and seed is not None else 3)
+    _check_size(h, max(h, 3))
     w2d = np.zeros((2, 3))
     b = np.zeros(3)
     if kind == "sandwich":
@@ -115,7 +115,7 @@ def gen_counterfactual_head(kind: str, k: int = 3, h: int = 2, seed: int = 0,
         w2d = np.vstack([np.cos(angles), np.sin(angles)]) * np.array([c, c, 4.0 * c])
     w = np.zeros((h, 3))
     w[:2, :] = w2d
-    if h > 2 and seed is not None:
+    if h > 2:
         # Orientation-randomized embedding keeps the geometry, moves the plane.
         rng = np.random.default_rng(seed)
         rot = _random_orthonormal_map(h, h, rng)

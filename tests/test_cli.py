@@ -196,6 +196,7 @@ _BAD_HEADS = {
     "digit-separator": "1_0,-1.0\n0.5,-0.5\n0,0\n",
     "quoted": '"1.0",-1.0\n0.5,-0.5\n0,0\n',
     "empty": "",  # loadtxt warns of no data; the warning must not print
+    "blank-line": "1.0,-1.0\n\n0.5,-0.5\n0,0\n",  # loadtxt would skip it
 }
 
 
@@ -249,6 +250,9 @@ _BAD_MODELS = {
     "non-numeric": {**_MODEL, "head_b": ["a", 0.0, 0.0]},
     "layer-shape": {**_MODEL, "weights": [[[1.0, 0.0, 0.0]] * 2]},
     "flag-string": {**_MODEL, "linear_features": "false"},
+    # the key is kept for older files, which all hold false
+    "linear-features": {**_MODEL, "linear_features": True},
+    "linear-features-zero": {**_MODEL, "linear_features": 0},
     "head-weight-nan": _model_with("head_w", (0, 0), float("nan")),
     "hidden-weight-infinite": _model_with("weights", (0, 0, 0), float("inf")),
     "version": {**_MODEL, "format_version": 2},
@@ -462,6 +466,34 @@ class TestExitCodes:
         (tmp_path / "features.csv").write_bytes(_BAD_FEATURES[case])
         assert _run("score", "--outdir", "out") == EXIT_IO
         assert _one_io_error(capsys)
+
+    # Python int() alone took all three, the first as an integer that int64
+    # cannot hold.
+    @pytest.mark.parametrize("flags", [["score"], ["fit-gmm"], ["pca"],
+                                       ["region", "--head", "head.csv", "--features",
+                                        "features.csv", "--mass-samples", "100"]],
+                             ids=["score", "fit-gmm", "pca", "region"])
+    @pytest.mark.parametrize("label", ["99999999999999999999", "1_0", "\u0661"],
+                             ids=["int64-overflow", "digit-separator", "arabic-digit"])
+    def test_malformed_label_names_its_row(self, tmp_path, capsys, monkeypatch, flags, label):
+        monkeypatch.chdir(tmp_path)
+        save_head(tmp_path / "head.csv", _write_cluster_features(tmp_path / "ok.csv", h=2))
+        (tmp_path / "features.csv").write_text(f"h0,h1,label\n1.0,2.0,0\n3.0,4.0,{label}\n")
+        assert _run(*flags, "--outdir", "out") == EXIT_IO
+        assert "row 3:" in _one_io_error(capsys)
+
+    def test_label_past_the_class_count_range_is_config_error(self, tmp_path, capsys):
+        # labels up to 2**63 - 1 give k = 2**63 classes, which bincount could
+        # not count; the mass estimate names the first class without 2 rows
+        head = _write_cluster_features(tmp_path / "ok.csv", h=2)
+        save_head(tmp_path / "head.csv", head)
+        (tmp_path / "f.csv").write_text("h0,h1,label\n1.0,2.0,0\n3.0,4.0,0\n"
+                                        "1.0,0.0,9223372036854775807\n")
+        assert _run("region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
+                    "--features", str(tmp_path / "f.csv"), "--mass-samples", "100",
+                    "--outdir", str(tmp_path / "out")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: class 1 has fewer than 2 samples\n"
 
     @pytest.mark.parametrize("case", list(_BAD_CONFIGS))
     def test_mistyped_config_is_config_error(self, tmp_path, capsys, monkeypatch, case):

@@ -200,6 +200,7 @@ class TestFeatureFiles:
 
     # Quoted numbers and digit separators are rejected: save_features writes
     # neither, and the CSV reader parses fields with numpy, not Python float().
+    # A label takes ASCII digits only and must fit in int64.
     @pytest.mark.parametrize("text, line", [
         ("h0,h1\n1.0,2.0\n\n3.0,4.0\n", 3),
         ("h0\n1.0\n\n2.0\n", 3),
@@ -207,8 +208,12 @@ class TestFeatureFiles:
         ("h0,h1,label\n1.0,2.0,1\n3.0,4.0,3.0\n", 3),
         ("h0,h1\n1.0,2.0\n\"3.0\",4.0\n", 3),
         ("h0,h1\n1_0,2.0\n", 2),
+        ("h0,label\n1.0,0\n2.0,99999999999999999999\n", 3),
+        ("h0,label\n1.0,0\n2.0,1_0\n", 3),
+        ("h0,label\n1.0,0\n2.0,\u0661\n", 3),
     ], ids=["blank-line", "blank-line-one-column", "non-numeric", "float-label",
-            "quoted-number", "digit-separator"])
+            "quoted-number", "digit-separator", "label-int64-overflow",
+            "label-digit-separator", "label-arabic-digit"])
     def test_malformed_row_names_its_line(self, tmp_path, text, line):
         p = tmp_path / "bad.csv"
         p.write_text(text)

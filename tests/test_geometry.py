@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2, norm
 
-from oodkit.cli import _per_class_gaussian
+from oodkit import geometry
 from oodkit.core import FeatureMatrix, LabelVector, SoftmaxHead
 from oodkit.errors import ConfigError
 from oodkit.estimators import score_batch, u_max
@@ -17,10 +17,11 @@ from oodkit.geometry import (
     empirical_threshold,
     fit_linear_region,
     mc_region_mass,
+    region_mass,
     solve_alpha_exact_k2,
     span_basis,
 )
-from oodkit.gmm import GaussianMixture
+from oodkit.gmm import GaussianMixture, _moment_match
 from oodkit.structure import OptimalStructureSpec, gen_optimal_head
 
 
@@ -379,10 +380,11 @@ def region_and_mixture():
 
 
 class TestMonteCarloMass:
-    # n=5 gives components of exactly one draw, hence 1-row pieces; 7000
-    # leaves a short last batch.
+    # n=5 gives components of exactly one draw, hence 1-row pieces; a batch
+    # of 7000 leaves a short last batch. The batch is a module constant,
+    # patched here to keep the draws small.
     @pytest.mark.parametrize("n, batch", [(5, 5), (20_000, 20_000), (20_000, 7_000)])
-    def test_counts_what_sample_draws(self, region_and_mixture, n, batch):
+    def test_counts_what_sample_draws(self, region_and_mixture, monkeypatch, n, batch):
         region, mixture = region_and_mixture
         rng = np.random.default_rng(29)
         if n == 5:
@@ -391,16 +393,18 @@ class TestMonteCarloMass:
         hits = sum(int(np.count_nonzero(region.contains(
             mixture.sample(min(batch, n - done), rng)))) for done in range(0, n, batch))
         assert n < 20_000 or 0 < hits < n
-        assert mc_region_mass(region.contains, mixture, n=n, seed=29, batch=batch) == hits / n
+        monkeypatch.setattr(geometry, "MC_BATCH", batch)
+        assert mc_region_mass(region.contains, mixture, n=n, seed=29) == hits / n
 
-    def test_scratch_memory_does_not_grow_with_batch(self, region_and_mixture):
+    def test_scratch_memory_does_not_grow_with_batch(self, region_and_mixture, monkeypatch):
         # Drawing whole batches held two batch x H buffers: 98 MiB here.
         region, mixture = region_and_mixture
         peaks = {}
         for batch in (10_000, 100_000):
+            monkeypatch.setattr(geometry, "MC_BATCH", batch)
             tracemalloc.start()
             try:
-                mc_region_mass(region.contains, mixture, n=200_000, seed=31, batch=batch)
+                mc_region_mass(region.contains, mixture, n=200_000, seed=31)
                 peaks[batch] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -413,24 +417,16 @@ class TestMonteCarloMass:
         mass = mc_region_mass(lambda z: z[:, 0] > 0.0, model, n=500_000, seed=19)
         assert mass == pytest.approx(0.5, abs=0.002)
 
-    def test_deterministic_for_seed_and_batch(self):
+    def test_deterministic_for_a_seed(self):
         model = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
-        a = mc_region_mass(lambda z: z[:, 0] > 0.3, model, n=50_000, seed=23,
-                           batch=10_000)
-        b = mc_region_mass(lambda z: z[:, 0] > 0.3, model, n=50_000, seed=23,
-                           batch=10_000)
+        a = mc_region_mass(lambda z: z[:, 0] > 0.3, model, n=150_000, seed=23)
+        b = mc_region_mass(lambda z: z[:, 0] > 0.3, model, n=150_000, seed=23)
         assert a == b
 
     def test_rejects_bad_n(self):
         model = GaussianMixture([1.0], [[0.0]], [np.eye(1)])
         with pytest.raises(ConfigError):
-            mc_region_mass(lambda z: z[:, 0] > 0, model, n=0)
-
-    @pytest.mark.parametrize("batch", [0, -5])
-    def test_rejects_bad_batch(self, batch):
-        model = GaussianMixture([1.0], [[0.0]], [np.eye(1)])
-        with pytest.raises(ConfigError):
-            mc_region_mass(lambda z: z[:, 0] > 0, model, n=10, batch=batch)
+            mc_region_mass(lambda z: z[:, 0] > 0, model, n=0, seed=0)
 
 
 def _span_case(h, k, equiangular, seed=0, n=2000):
@@ -457,6 +453,11 @@ def _within_of_a_face(region, z, rel):
     return (near & (np.arange(region.head.k) != a[:, None])).any(axis=1)
 
 
+def _class_gaussians(x, labels):
+    """One Gaussian per class, moment-matched to its rows as region_mass does."""
+    return GaussianMixture(*_moment_match(x, labels.labels, labels.k, 1e-9))
+
+
 class TestSpanCount:
     """The linear region's mass counted from draws in span(W)."""
 
@@ -477,7 +478,7 @@ class TestSpanCount:
     def test_membership_matches_full_width(self, h, k, equiangular):
         region, x, labels = _span_case(h, k, equiangular)
         q = span_basis(region.head.w)
-        z = _per_class_gaussian(x, labels).sample(50_000, np.random.default_rng(1))
+        z = _class_gaussians(x.data, labels).sample(50_000, np.random.default_rng(1))
         keep = ~_within_of_a_face(region, z, 1e-9)
         full = region.contains(z)
         assert keep.sum() > 0.99 * len(z)
@@ -486,18 +487,50 @@ class TestSpanCount:
 
     @pytest.mark.parametrize("h, k, equiangular", [CASES[0], CASES[2]])
     def test_mass_matches_full_width(self, h, k, equiangular):
-        # 4 combined binomial standard errors on each of three seeds
+        # region_mass counts in span(W); 4 combined binomial standard errors
+        # from the H-wide count, on each of three seeds
         region, x, labels = _span_case(h, k, equiangular)
-        q = span_basis(region.head.w)
-        full_model = _per_class_gaussian(x, labels)
-        span_model = _per_class_gaussian(FeatureMatrix(x.data @ q), labels)
-        assert span_model.h == q.shape[1]
+        full_model = _class_gaussians(x.data, labels)
         n = 60_000
         for seed in (1, 2, 3):
             full = mc_region_mass(region.contains, full_model, n=n, seed=seed)
-            span = mc_region_mass(region.span_contains(q), span_model, n=n, seed=seed)
+            span = region_mass(region, x, labels, n=n, seed=seed)
             se = np.sqrt((full * (1 - full) + span * (1 - span)) / n)
             assert 0 < full < 1 and abs(full - span) <= 4 * se
+
+
+class TestRegionMass:
+    """The region's mass under the per-class Gaussians of labelled features."""
+
+    def test_linear_region_counts_in_span(self):
+        region, x, labels = _span_case(64, 10, True)
+        q = span_basis(region.head.w)
+        span_model = _class_gaussians(x.data @ q, labels)
+        assert span_model.h == q.shape[1] == 9
+        assert (region_mass(region, x, labels, n=20_000, seed=5)
+                == mc_region_mass(region.span_contains(q), span_model, n=20_000, seed=5))
+
+    def test_density_region_counts_at_full_width(self):
+        _, x, labels = _span_case(8, 3, True)
+        model = _class_gaussians(x.data, labels)
+        region = density_region(model, 0.05)
+        mass = region_mass(region, x, labels, n=20_000, seed=5)
+        assert mass == mc_region_mass(region.contains, model, n=20_000, seed=5)
+        assert mass == pytest.approx(0.05, abs=0.01)
+
+    # class 1 has one row; class 1 has none; labels up to 2**63 - 1 give
+    # k = 2**63 classes, where counting every class cannot allocate
+    @pytest.mark.parametrize("y, first", [
+        ([0, 0, 1, 2, 2], 1),
+        ([0, 0, 2, 2], 1),
+        ([0, 0, 1, 1, 2 ** 63 - 1], 2),
+    ], ids=["one-row", "missing", "huge-label"])
+    def test_rejects_a_class_with_fewer_than_two_rows(self, y, first):
+        region, _, _ = _span_case(2, 3, True)
+        x = FeatureMatrix(np.arange(2.0 * len(y)).reshape(-1, 2))
+        labels = LabelVector(np.array(y), k=max(y) + 1)
+        with pytest.raises(ConfigError, match=f"class {first} has fewer than 2 samples"):
+            region_mass(region, x, labels, n=10, seed=0)
 
 
 class TestSerialization:

@@ -274,15 +274,10 @@ class TestSample:
     def test_chunks_are_the_draws_before_the_shuffle(self):
         gmm = _random_mixture(6, log_transform=True)
         rng, sample_rng = np.random.default_rng(3), np.random.default_rng(3)
-        shuffle = []
-
-        def pieces():
-            shuffle.append((yield from gmm.sample_chunks(20_000, rng)))
-
         # each piece is a view of one reused buffer, so it is copied
-        chunks = [piece.copy() for piece in pieces()]
+        chunks = [piece.copy() for piece in gmm.sample_chunks(20_000, rng)]
         assert max(len(chunk) for chunk in chunks) <= _block_rows(64) + 1
-        np.testing.assert_array_equal(np.concatenate(chunks)[shuffle[0]],
+        np.testing.assert_array_equal(np.concatenate(chunks)[rng.permutation(20_000)],
                                       gmm.sample(20_000, sample_rng))
         # both leave the generator at the same place in its stream
         assert rng.integers(1 << 62) == sample_rng.integers(1 << 62)

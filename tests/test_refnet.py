@@ -201,16 +201,15 @@ class TestTrainStack:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 6), depth=st.integers(1, 3),
-           activation=st.sampled_from(["relu", "tanh"]), linear_features=st.booleans(),
-           batch_size=st.integers(2, 9), data=st.data())
-    def test_stack_matches_each_model_alone(self, seed, s, depth, activation,
-                                            linear_features, batch_size, data):
+           activation=st.sampled_from(["relu", "tanh"]), batch_size=st.integers(2, 9),
+           data=st.data())
+    def test_stack_matches_each_model_alone(self, seed, s, depth, activation, batch_size,
+                                            data):
         rng = np.random.default_rng(seed)
         d, width, h, k = (int(v) for v in rng.integers(1, 5, 4) + (0, 1, 0, 1))
         # a last minibatch shorter than the others
         n = batch_size * data.draw(st.integers(1, 3)) + data.draw(st.integers(1, batch_size - 1))
-        spec = MlpSpec((d,) + (width,) * (depth - 1) + (h,), activation, k,
-                       linear_features=linear_features)
+        spec = MlpSpec((d,) + (width,) * (depth - 1) + (h,), activation, k)
         frozen = data.draw(st.lists(st.booleans(), min_size=s, max_size=s))
         datasets = [self._dataset(rng, n, d, k) for _ in range(s)]
         cfgs = [TrainConfig(epochs=2, batch_size=batch_size, learning_rate=0.1,
@@ -233,7 +232,7 @@ class TestTrainStack:
     def test_one_diverging_model_stops_the_stack(self):
         data = generate(_blob_task(seed=0, n_per_class=50))
         huge = (FeatureMatrix(data[0].data * 1e150), data[1])
-        spec = MlpSpec((2, 8, 2), activation="relu", k=3, linear_features=True)
+        spec = MlpSpec((2, 8, 2), activation="relu", k=3)
         cfg = TrainConfig(epochs=5)
         train(data, spec, cfg)
         with pytest.raises(NumericalError):
@@ -266,38 +265,36 @@ class TestParameterGradients:
     def test_all_parameter_grads_match_central_differences(self):
         rng = np.random.default_rng(9)
         for activation in ("relu", "tanh"):
-            for linear_features in (False, True):
-                spec = MlpSpec((3, 5, 4), activation=activation, k=3,
-                               linear_features=linear_features)
-                model = MlpModel.init(spec, seed=int(rng.integers(100)))
-                # freshly initialized biases are zero, which parks relu
-                # pre-activations exactly on the kink; move off it
-                for b in model.biases:
-                    b += 0.1 * rng.standard_normal(b.shape)
-                model.head_b += 0.1 * rng.standard_normal(model.head_b.shape)
-                x = rng.standard_normal((10, 3))
-                y = rng.integers(0, 3, 10)
-                _, grads = model.loss_and_grads(x, y, weight_decay=1e-3)
+            spec = MlpSpec((3, 5, 4), activation=activation, k=3)
+            model = MlpModel.init(spec, seed=int(rng.integers(100)))
+            # freshly initialized biases are zero, which parks relu
+            # pre-activations exactly on the kink; move off it
+            for b in model.biases:
+                b += 0.1 * rng.standard_normal(b.shape)
+            model.head_b += 0.1 * rng.standard_normal(model.head_b.shape)
+            x = rng.standard_normal((10, 3))
+            y = rng.integers(0, 3, 10)
+            _, grads = model.loss_and_grads(x, y, weight_decay=1e-3)
 
-                def check(param, grad):
-                    eps = 1e-6
-                    it = np.nditer(param, flags=["multi_index"])
-                    for _ in it:
-                        i = it.multi_index
-                        orig = param[i]
-                        param[i] = orig + eps
-                        lp, _ = model.loss_and_grads(x, y, weight_decay=1e-3)
-                        param[i] = orig - eps
-                        lm, _ = model.loss_and_grads(x, y, weight_decay=1e-3)
-                        param[i] = orig
-                        fd = (lp - lm) / (2 * eps)
-                        assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+            def check(param, grad):
+                eps = 1e-6
+                it = np.nditer(param, flags=["multi_index"])
+                for _ in it:
+                    i = it.multi_index
+                    orig = param[i]
+                    param[i] = orig + eps
+                    lp, _ = model.loss_and_grads(x, y, weight_decay=1e-3)
+                    param[i] = orig - eps
+                    lm, _ = model.loss_and_grads(x, y, weight_decay=1e-3)
+                    param[i] = orig
+                    fd = (lp - lm) / (2 * eps)
+                    assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
-                for li in range(len(model.weights)):
-                    check(model.weights[li], grads["weights"][li])
-                    check(model.biases[li], grads["biases"][li])
-                check(model.head_w, grads["head_w"])
-                check(model.head_b, grads["head_b"])
+            for li in range(len(model.weights)):
+                check(model.weights[li], grads["weights"][li])
+                check(model.biases[li], grads["biases"][li])
+            check(model.head_w, grads["head_w"])
+            check(model.head_b, grads["head_b"])
 
 
 class TestPersistence:
