@@ -148,7 +148,7 @@ def solve_alpha_exact_k2(mixture: GaussianMixture, head: SoftmaxHead,
         return _gaussian_mass_outside_slab(mixture, w1, boundary - alpha * nsq,
                                            boundary + alpha * nsq)
 
-    alpha = _first_crossing(out_mass, 1.0 - epsilon, 1e-10)
+    alpha = float(_first_crossing(out_mass, 1.0 - epsilon, 1e-10))
     anchor = w1 * (boundary / nsq)
     return SlabRegion(normal=w1, anchor=anchor, alpha_lo=alpha, alpha_hi=alpha)
 
@@ -235,37 +235,28 @@ def _u_max_values(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
     return -softmax_from_logits(_logits_rows(head, z) + head.b).max(axis=1)
 
 
-def _first_crossing(f, level: float, tol: float) -> float:
-    """Smallest t > 0 with f(t) <= level, for f decreasing in t.
+def _first_crossing(f, level, tol: float) -> np.ndarray:
+    """Smallest t > 0 with f(t) <= level in each lane of ``level``, for f
+    decreasing in t; f maps an array of t, one per lane, to their values.
 
-    The bracket [0, 1] doubles until f(hi) <= level, at most 60 times, then
-    bisection stops once the bracket is narrower than tol * max(1, hi).
+    Each lane's bracket [0, 1] doubles until f(hi) <= level, at most 60
+    times, then bisection stops once it is narrower than tol * max(1, hi).
+    The lanes advance together, one f call per step, and stay independent:
+    a finished lane is masked, not updated.
     """
-    hi = 1.0
-    while f(hi) > level:
-        if hi == 2.0 ** 60:
-            raise NumericalError(f"no crossing of {level!r} within 60 bracket doublings")
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
+    level = np.asarray(level, dtype=np.float64)
+    lo, hi = np.zeros(level.shape), np.ones(level.shape)
+    up = f(hi) > level
+    while np.any(up):
+        if np.any(up & (hi == 2.0 ** 60)):
+            raise NumericalError("no crossing of the level within 60 bracket doublings")
+        hi = np.where(up, 2.0 * hi, hi)
+        up &= f(hi) > level
+    while np.any(wide := hi - lo > tol * np.maximum(1.0, hi)):
         mid = 0.5 * (lo + hi)
-        if f(mid) > level:
-            lo = mid
-        else:
-            hi = mid
+        above = f(mid) > level
+        lo, hi = np.where(wide & above, mid, lo), np.where(wide & ~above, mid, hi)
     return 0.5 * (lo + hi)
-
-
-def _solve_slab_offset(head, base, direction, u_star, side):
-    """Smallest t > 0 with u_max(base + side*t*direction) <= u_star.
-
-    u_max decreases monotonically moving away from the boundary along the
-    pair normal.
-    """
-    def u_at(t):
-        return float(_u_max_values(head, (base + side * t * direction)[None, :])[0])
-
-    return _first_crossing(u_at, u_star, 1e-12)
 
 
 def fit_linear_region(head: SoftmaxHead, train_features: FeatureMatrix,
@@ -273,11 +264,15 @@ def fit_linear_region(head: SoftmaxHead, train_features: FeatureMatrix,
                       far_field_factor: float = FAR_FIELD_FACTOR) -> LinearApproxRegion:
     """Fit per-pair slab offsets so each slab matches the u_max = u_star
     contour far from the origin along the pair's boundary direction.
+
+    The +n and -n offsets of all pairs are the lanes of one
+    ``_first_crossing``, one ``_u_max_values`` call per step; its rows do not
+    depend on the batch, so the lanes stay independent of each other.
     """
     u_star = empirical_threshold(_u_max_values(head, train_features.data), epsilon)
     norms = head.column_norms()
     far = far_field_factor * float(norms.max())
-    slabs = {}
+    pairs = {}
     for i in range(head.k):
         for j in range(i + 1, head.k):
             n = head.w[:, i] - head.w[:, j]
@@ -291,11 +286,17 @@ def fit_linear_region(head: SoftmaxHead, train_features: FeatureMatrix,
             e = head.w[:, i] + head.w[:, j]
             e = e - (e @ n) / nsq * n
             e_norm = np.linalg.norm(e)
-            base = z0 if e_norm < 1e-12 else z0 + far * (e / e_norm)
-            t_hi = _solve_slab_offset(head, base, n, u_star, +1.0)
-            t_lo = _solve_slab_offset(head, base, n, u_star, -1.0)
-            slabs[(i, j)] = SlabRegion(normal=n, anchor=z0,
-                                       alpha_lo=t_lo, alpha_hi=t_hi)
+            pairs[(i, j)] = (n, z0, z0 if e_norm < 1e-12 else z0 + far * (e / e_norm))
+    # Lanes: every pair's +n side, then its -n side. u_max decreases away
+    # from the boundary on either side, as the bisection assumes.
+    normals, anchors, bases = zip(*pairs.values())
+    lane_n, lane_base = np.array(normals * 2), np.array(bases * 2)
+    side = np.repeat([1.0, -1.0], len(pairs))
+    t_hi, t_lo = _first_crossing(
+        lambda t: _u_max_values(head, lane_base + (side * t)[:, None] * lane_n),
+        np.full(side.size, u_star), 1e-12).reshape(2, -1)
+    slabs = {pair: SlabRegion(normal=n, anchor=z0, alpha_lo=float(lo), alpha_hi=float(hi))
+             for pair, n, z0, lo, hi in zip(pairs, normals, anchors, t_lo, t_hi)}
     return LinearApproxRegion(head=head, slabs=slabs, u_star=u_star, epsilon=epsilon)
 
 
@@ -342,7 +343,7 @@ def density_region(gmm: GaussianMixture, epsilon: float) -> DensityRegion:
     if not 0.0 < epsilon < 1.0:
         raise ConfigError("epsilon must lie in (0, 1)")
     # The chi-square (1 - epsilon)-quantile, bisected down to adjacent floats.
-    c = _first_crossing(lambda x: _chi2_sf(x, gmm.h), epsilon, np.finfo(float).eps)
+    c = float(_first_crossing(lambda x: _chi2_sf(x, gmm.h), epsilon, np.finfo(float).eps))
     return DensityRegion(gmm=gmm, thresholds=np.full(gmm.k_components, c),
                          epsilon=epsilon)
 
@@ -355,8 +356,8 @@ def mc_region_mass(contains, sampler: GaussianMixture, n: int, seed: int) -> flo
     ``MC_BATCH`` draws; ``contains`` maps each piece of a batch that
     ``sampler.sample_chunks`` yields (an M x sampler.h array, M >= 1) to
     booleans. The hits are counted piece by piece, so the scratch memory
-    does not grow with the batch. Each batch of m draws ends with
-    ``rng.permutation(m)``, so it counts exactly ``sampler.sample(m, rng)``.
+    does not grow with the batch. The batches draw in turn from one
+    ``default_rng(seed)``.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -366,7 +367,6 @@ def mc_region_mass(contains, sampler: GaussianMixture, n: int, seed: int) -> flo
         m = min(MC_BATCH, n - done)
         for piece in sampler.sample_chunks(m, rng):
             hits += int(np.count_nonzero(contains(piece)))
-        rng.permutation(m)
     return hits / n
 
 

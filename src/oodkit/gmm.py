@@ -182,7 +182,7 @@ class GaussianMixture:
 
     def sample_chunks(self, n: int, rng: np.random.Generator):
         """n draws in feature space (exponentiated under ``log_transform``),
-        yielded piece by piece, before the shuffle that ``sample`` draws.
+        yielded piece by piece; ``sample`` copies them out and shuffles them.
 
         The stream of ``rng.multivariate_normal(method="cholesky")`` per
         component: multinomial counts, then mean + N(0, I) @ L^T for each
@@ -197,8 +197,6 @@ class GaussianMixture:
         ``test_matches_multivariate_normal_stream`` then fail). The pieces
         come in component order, each a view of one reused buffer that the
         next piece overwrites; only a 1-draw component gives a 1-row piece.
-        A caller that then draws ``rng.permutation(n)`` leaves ``rng`` where
-        ``sample(n, rng)`` does.
         """
         counts = rng.multinomial(n, self.weights)
         rows = min(int(counts.max(initial=0)), _block_rows(self.h) + 1)

@@ -7,7 +7,7 @@ from scipy.stats import chi2, norm
 
 from oodkit import geometry
 from oodkit.core import FeatureMatrix, LabelVector, SoftmaxHead
-from oodkit.errors import ConfigError
+from oodkit.errors import ConfigError, NumericalError
 from oodkit.estimators import score_batch, u_max
 from oodkit.geometry import (
     DensityRegion,
@@ -22,7 +22,7 @@ from oodkit.geometry import (
     span_basis,
 )
 from oodkit.gmm import GaussianMixture, _moment_match
-from oodkit.structure import OptimalStructureSpec, gen_optimal_head
+from oodkit.structure import OptimalStructureSpec, gen_counterfactual_head, gen_optimal_head
 
 
 class TestEmpiricalThreshold:
@@ -204,6 +204,127 @@ class TestLinearRegion:
             fit_linear_region(head, FeatureMatrix(np.zeros((5, 2)) + 0.1), 0.05)
 
 
+def _scalar_crossing(f, level, tol):
+    """The one-lane doubling and bisection that _first_crossing runs per lane."""
+    hi = 1.0
+    while f(hi) > level:
+        assert hi < 2.0 ** 60
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_offsets(region):
+    """(alpha_lo, alpha_hi) of every pair from one scalar bisection per pair
+    and side, each step a 1-row _u_max_values call: the reference that the
+    lanes of fit_linear_region match bit for bit."""
+    head = region.head
+    far = geometry.FAR_FIELD_FACTOR * float(head.column_norms().max())
+    offsets = {}
+    for i, j in region.slabs:
+        n = head.w[:, i] - head.w[:, j]
+        nsq = float(n @ n)
+        z0 = -float(head.b[i] - head.b[j]) / nsq * n
+        e = head.w[:, i] + head.w[:, j]
+        e = e - (e @ n) / nsq * n
+        e_norm = np.linalg.norm(e)
+        base = z0 if e_norm < 1e-12 else z0 + far * (e / e_norm)
+        offsets[(i, j)] = tuple(_scalar_crossing(
+            lambda t: float(geometry._u_max_values(head, (base + side * t * n)[None, :])[0]),
+            region.u_star, 1e-12) for side in (-1.0, 1.0))
+    return offsets
+
+
+def _counterfactual_case(kind, seed=0, n=2000):
+    """A linear region fitted on a counterfactual head, on features of one
+    unit Gaussian per class around 2 w_c."""
+    head = gen_counterfactual_head(kind)
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, head.k, n)
+    x = FeatureMatrix(2.0 * head.w[:, y].T + rng.standard_normal((n, head.h)))
+    return fit_linear_region(head, x, 0.05)
+
+
+class TestLockstepOffsets:
+    """fit_linear_region solves all pairs and sides as lanes of one bisection."""
+
+    # equiangular K = 3, 5, 10 and a random 64 x 10 head, all with biases;
+    # in stack every pair is collinear, so its base is z0
+    @pytest.mark.parametrize("case", ["eq3", "eq5", "eq10", "random64x10",
+                                      "sandwich", "stack", "lopsided"])
+    def test_offsets_match_scalar_bisection(self, case):
+        shapes = {"eq3": (2, 3, True), "eq5": (8, 5, True), "eq10": (64, 10, True),
+                  "random64x10": (64, 10, False)}
+        region = (_span_case(*shapes[case])[0] if case in shapes
+                  else _counterfactual_case(case))
+        offsets = _scalar_offsets(region)
+        assert region.slabs.keys() == offsets.keys()
+        for pair, slab in region.slabs.items():
+            assert type(slab.alpha_lo) is float and type(slab.alpha_hi) is float
+            assert (slab.alpha_lo, slab.alpha_hi) == offsets[pair], pair
+
+    def test_one_u_max_call_per_step(self, monkeypatch):
+        # The threshold's call, then at most 61 doubling and 64 bisection
+        # steps, whatever the number of pairs. One call per pair and step
+        # made 3,691 on the benchmark head.
+        rows = []
+        u_max_values = geometry._u_max_values
+
+        def counted(head, z):
+            rows.append(len(z))
+            return u_max_values(head, z)
+
+        monkeypatch.setattr(geometry, "_u_max_values", counted)
+        _span_case(64, 10, True)
+        assert len(rows) <= 1 + 60 + 64
+        assert rows[0] == 2000 and set(rows[1:]) == {2 * 45}
+
+
+class TestFirstCrossing:
+    # crossings of c / t at level 1 are t = c: 0, 0, 3, 20 and 52 doublings
+    C = np.array([0.3, 1.0, 5.0, 1e6, 3e15])
+
+    def test_lanes_equal_one_lane_calls(self):
+        lanes = geometry._first_crossing(lambda t: self.C / t, np.ones(self.C.size), 1e-12)
+        assert lanes.shape == self.C.shape
+        for c, t in zip(self.C, lanes):
+            one = geometry._first_crossing(lambda t: c / t, np.ones(1), 1e-12)
+            assert one.tolist() == [t] == [_scalar_crossing(lambda t: c / t, 1.0, 1e-12)]
+        np.testing.assert_allclose(lanes, self.C, rtol=1e-11)
+
+    def test_a_lane_that_never_crosses_raises(self):
+        # lanes 0 and 1 cross at t = 0.5 and 2; lane 2 stays above the level
+        points = []
+
+        def f(t):
+            points.append(t)
+            return np.where([True, True, False], np.array([0.5, 2.0, 1.0]) / t, 2.0)
+
+        with pytest.raises(NumericalError, match="60 bracket doublings"):
+            geometry._first_crossing(f, np.ones(3), 1e-12)
+        assert len(points) == 61
+        assert points[-1].tolist() == [1.0, 2.0, 2.0 ** 60]
+
+    def test_scalar_solves_return_floats(self):
+        head, model, w1 = _k2_setup()
+        slab = solve_alpha_exact_k2(model, head, 0.05)
+        nsq = float(w1 @ w1)
+        alpha = _scalar_crossing(lambda a: geometry._gaussian_mass_outside_slab(
+            model, w1, -a * nsq, a * nsq), 0.95, 1e-10)
+        assert type(slab.alpha_lo) is type(slab.alpha_hi) is float
+        assert slab.alpha_lo == slab.alpha_hi == alpha
+        gmm = GaussianMixture([0.5, 0.5], np.zeros((2, 5)), [np.eye(5)] * 2)
+        thresholds = density_region(gmm, 0.05).to_dict()["thresholds"]
+        c = _scalar_crossing(lambda x: geometry._chi2_sf(x, 5), 0.05, np.finfo(float).eps)
+        assert [type(t) for t in thresholds] == [float, float] and thresholds == [c, c]
+
+
 def _contains_per_slab(region, z):
     """The per-slab membership that LinearApproxRegion.contains replaced:
     one z @ n per slab, masked by the pair's argmax cells."""
@@ -380,9 +501,10 @@ def region_and_mixture():
 
 
 class TestMonteCarloMass:
-    # n=5 gives components of exactly one draw, hence 1-row pieces; a batch
-    # of 7000 leaves a short last batch. The batch is a module constant,
-    # patched here to keep the draws small.
+    # The count is that of the sample_chunks pieces of each batch in turn,
+    # drawn from one generator. n=5 gives components of exactly one draw,
+    # hence 1-row pieces; a batch of 7000 leaves a short last batch. The
+    # batch is a module constant, patched here to keep the draws small.
     @pytest.mark.parametrize("n, batch", [(5, 5), (20_000, 20_000), (20_000, 7_000)])
     def test_counts_what_sample_draws(self, region_and_mixture, monkeypatch, n, batch):
         region, mixture = region_and_mixture
@@ -390,8 +512,9 @@ class TestMonteCarloMass:
         if n == 5:
             assert 1 in rng.multinomial(5, mixture.weights)
             rng = np.random.default_rng(29)
-        hits = sum(int(np.count_nonzero(region.contains(
-            mixture.sample(min(batch, n - done), rng)))) for done in range(0, n, batch))
+        hits = sum(int(np.count_nonzero(region.contains(piece)))
+                   for done in range(0, n, batch)
+                   for piece in mixture.sample_chunks(min(batch, n - done), rng))
         assert n < 20_000 or 0 < hits < n
         monkeypatch.setattr(geometry, "MC_BATCH", batch)
         assert mc_region_mass(region.contains, mixture, n=n, seed=29) == hits / n
