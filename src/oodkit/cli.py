@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -356,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Non-finite results raise the typed errors below; numpy's warnings add lines.
-        with np.errstate(all="ignore"):
+        # Non-finite results raise the typed errors below; a warning prints one line.
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             VERBS[args.verb][0](_config(args.verb, args))
         return EXIT_OK
     except ConfigError as e:

@@ -6,17 +6,16 @@ factored once, and the whitening matrix [L_1^-T ... L_K^-T] is cached
 C-contiguous (a transposed view gives bits that depend on the row count).
 Fitted mixtures are immutable and safe to share.
 
-The Gaussian kernels (``mahalanobis_sq`` and everything built on it, and
-the k-means distances ``_sq_dists``) walk the rows in blocks of about
-``_BLOCK_BYTES`` per temporary (K'H wide for the whitened rows), so their
-scratch memory does not grow with N; only the N x K' outputs do. Each row's
-result does not depend on the block it falls in, so the outputs are bitwise
-those of one whole-batch pass, and a row's ``log_density`` equals its
-``log_density_batch`` entry. The EM moments (``_moments``) are not blocked:
-they reduce over N, through one N x H buffer per component. ``sample_chunks``
-streams the Gaussian draws in the same row blocks, one component at a time
-through one reused buffer, so a caller that only counts (the Monte Carlo
-region mass) holds O(block x H) scratch memory for any n.
+``mahalanobis_sq`` (and all built on it) walks the rows in blocks of about
+``_BLOCK_BYTES`` per temporary (K'H wide for the whitened rows), so its
+scratch memory does not grow with N; only the N x K' output does. Each row's
+result does not depend on its block, so the outputs are bitwise those of one
+whole-batch pass, and a row's ``log_density`` equals its ``log_density_batch``
+entry. The EM moments (``_moments``) sum SYRK products over the same blocks
+in one buffer for all components, and the k-means distances (``_sq_dists``)
+are one N x C product, so EM holds no N x H temporary. ``sample_chunks``
+streams the Gaussian draws in the same row blocks through one reused buffer,
+so a Monte Carlo count holds O(block x H) scratch memory for any n.
 """
 
 from __future__ import annotations
@@ -261,23 +260,22 @@ class GaussianMixture:
             return cls.from_dict(json.load(f))
 
 
-def _sq_dists(x: np.ndarray, centers) -> np.ndarray:
-    """Squared Euclidean distance of each row to every centre (N x C), one
-    row block at a time."""
-    out = np.empty((x.shape[0], len(centers)))
-    for rows in _row_blocks(*x.shape):
-        for i, c in enumerate(centers):
-            out[rows, i] = ((x[rows] - c) ** 2).sum(axis=1)
-    return out
+def _sq_dists(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance of each row to every centre (N x C) as |x|^2 (x_sq)
+    - 2 x @ C^T + |c|^2, one product with only N x C arrays, clipped at 0:
+    cancellation leaves small negatives, which ``rng.choice`` rejects."""
+    out = x_sq[:, None] - 2.0 * (x @ centers.T) + np.einsum("ch,ch->c", centers, centers)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Each row's nearest centre after k-means++ seeding and 10 Lloyd steps."""
     n = x.shape[0]
+    x_sq = np.einsum("nh,nh->n", x, x)
     centers = [x[rng.integers(n)]]
     d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
     for _ in range(k - 1):
-        np.minimum(d2, _sq_dists(x, centers[-1:])[:, 0], out=d2)
+        np.minimum(d2, _sq_dists(x, x_sq, centers[-1][None])[:, 0], out=d2)
         total = d2.sum()
         if total <= 0:
             centers.append(x[rng.integers(n)])
@@ -285,31 +283,42 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         centers.append(x[rng.choice(n, p=d2 / total)])
     centers = np.array(centers)
     for _ in range(10):
-        assign = np.argmin(_sq_dists(x, centers), axis=1)
+        assign = np.argmin(_sq_dists(x, x_sq, centers), axis=1)
         for i in range(k):
             if np.any(assign == i):
                 centers[i] = x[assign == i].mean(axis=0)
-    return np.argmin(_sq_dists(x, centers), axis=1)
+    return np.argmin(_sq_dists(x, x_sq, centers), axis=1)
 
 
-def _moments(x: np.ndarray, r: np.ndarray, reg: float):
-    """Mass nk = sum(r), mean r @ x / nk and covariance d.T @ d / nk + reg*I
-    of the rows of x weighted by r, with d = sqrt(r) * (x - mean) in one N x H
-    buffer; numpy sends d.T @ d to SYRK, so the covariance is exactly symmetric."""
-    nk = r.sum()
-    if not nk > 0:
+def _moments(x: np.ndarray, resp: np.ndarray, reg: float):
+    """Masses nk, means resp.T @ x / nk and covariances sum_b d.T @ d / nk +
+    reg*I for each column k of the N x K' weights resp, every nk checked
+    before any division; d = sqrt(resp[b, k]) * (x[b] - mean_k) for each row
+    block b, in one reused buffer. numpy sends d.T @ d to SYRK, and a sum of
+    exactly symmetric blocks is exactly symmetric."""
+    n, h = x.shape
+    nk = resp.sum(axis=0)
+    if not np.all(nk > 0):
         raise SingularModelError("component collapsed to zero responsibility")
-    mean = r @ x / nk
-    d = x - mean
-    d *= np.sqrt(r)[:, None]
-    return nk, mean, d.T @ d / nk + reg * np.eye(x.shape[1])
+    means = resp.T @ x / nk[:, None]
+    covs = np.zeros((len(nk), h, h))
+    buf = np.empty((min(n, _block_rows(h) + 1), h))
+    for rows in _row_blocks(n, h):
+        d = buf[:rows.stop - rows.start]
+        scale = np.sqrt(resp[rows])
+        for i, mean in enumerate(means):
+            np.subtract(x[rows], mean, out=d)
+            d *= scale[:, i:i + 1]
+            covs[i] += d.T @ d
+    return nk, means, covs / nk[:, None, None] + reg * np.eye(h)
 
 
 def _moment_match(x, assign, k, reg):
     """Weights, means and covariances of the k components that ``assign``
-    gives the rows of x, each from its own rows."""
+    gives the rows of x, each from its own rows as one all-ones column."""
     parts = (x[assign == i] for i in range(k))
-    nk, means, covs = map(np.array, zip(*(_moments(xi, np.ones(len(xi)), reg) for xi in parts)))
+    nk, means, covs = map(np.concatenate, zip(*(_moments(xi, np.ones((len(xi), 1)), reg)
+                                                for xi in parts)))
     return nk / len(x), means, covs
 
 
@@ -366,8 +375,7 @@ def fit_em(features: FeatureMatrix, labels: LabelVector | None = None,
             break
         prev_ll = ll
 
-        nk, means, covs = map(np.array, zip(*(_moments(x, resp[:, i], cfg.reg)
-                                              for i in range(k_components))))
+        nk, means, covs = _moments(x, resp, cfg.reg)
         weights = nk / n
 
     fitted = GaussianMixture(weights, means, covs, reg=cfg.reg,

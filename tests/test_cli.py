@@ -361,6 +361,18 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("numerical error:")
 
+    def test_warning_prints_one_line(self, tmp_path):
+        # Python's own format adds the file:line and echoes the source line
+        (tmp_path / "f.csv").write_text("h0,h1,label\n" + "0,0,0\n" * 4)
+        proc = _run_python("import sys; from oodkit.cli import main; sys.exit(main())",
+                           "fit-gmm", "--outdir", str(tmp_path), "--k-components", "2",
+                           "--init", "kmeans_pp", "--features", str(tmp_path / "f.csv"))
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr == (
+            "warning: few samples per component relative to dimension; "
+            "covariances may be poorly conditioned\n"
+            "numerical error: empty component after 3 reinitializations\n")
+
     def test_invalid_structure_spec(self, tmp_path):
         assert _run("gen-head", "--outdir", str(tmp_path), "--kind", "optimal",
                     "--k", "5", "--h", "2") == EXIT_CONFIG

@@ -115,8 +115,17 @@ class TestGaussianMixtureModel:
             GaussianMixture.from_dict({"format_version": 99})
 
 
+def _nearest_reference(x, centers, piece=1024):
+    """Each row's nearest centre from N x K x H distance arrays, computed
+    piece rows at a time to bound memory; a row's sum does not depend on
+    its piece."""
+    return np.concatenate([
+        np.argmin(((x[i:i + piece, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
+        for i in range(0, x.shape[0], piece)])
+
+
 def _kmeans_pp_init_reference(x, k, rng, n_iter=10):
-    """k-means++ seeding and Lloyd steps on N x K x H distance arrays."""
+    """k-means++ seeding and Lloyd steps on elementwise squared differences."""
     n = x.shape[0]
     centers = [x[rng.integers(n)]]
     for _ in range(k - 1):
@@ -128,11 +137,23 @@ def _kmeans_pp_init_reference(x, k, rng, n_iter=10):
         centers.append(x[rng.choice(n, p=d2 / total)])
     centers = np.array(centers)
     for _ in range(n_iter):
-        assign = np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
+        assign = _nearest_reference(x, centers)
         for i in range(k):
             if np.any(assign == i):
                 centers[i] = x[assign == i].mean(axis=0)
-    return np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
+    return _nearest_reference(x, centers)
+
+
+def _benchmark_features(seed, n=20_000, h=64, k=10):
+    """The features of the benchmark's input for ``seed``: an equiangular
+    K=10 head with |w|=2 in H=64, and n rows of 2 w_y + N(0, I)."""
+    rng = np.random.default_rng(seed)
+    frame = np.eye(k) - 1.0 / k
+    frame *= 2.0 / np.linalg.norm(frame[0])
+    w = np.linalg.qr(rng.standard_normal((h, k)))[0] @ frame.T
+    y = np.repeat(np.arange(k), n // k)
+    y = y[rng.permutation(y.size)]
+    return 2.0 * w.T[y] + rng.standard_normal((y.size, h))
 
 
 def _block_rows(h):
@@ -200,12 +221,16 @@ class TestComponentLogDensities:
 
     def test_kernels_hold_less_than_the_input(self):
         # Whole-batch kernels peak at 80.8 MB (mahalanobis_sq) and 30.0 MB
-        # (the k-means distances) on this 25.6 MB input.
+        # (the k-means distances) on this 25.6 MB input; one N x H buffer
+        # per responsibility column held 51.2 MB (_moments).
         rng = np.random.default_rng(8)
         x = rng.standard_normal((50_000, 64))
         gmm = _random_mixture(8)
         centers = x[rng.choice(x.shape[0], 10, replace=False)]
-        for kernel in (gmm.mahalanobis_sq, lambda x: _sq_dists(x, centers)):
+        x_sq = np.einsum("nh,nh->n", x, x)
+        resp = rng.random((x.shape[0], 10))
+        for kernel in (gmm.mahalanobis_sq, lambda x: _sq_dists(x, x_sq, centers),
+                       lambda x: _moments(x, resp, 1e-5)):
             tracemalloc.start()
             try:
                 kernel(x)
@@ -316,6 +341,25 @@ class TestKmeansInit:
             _kmeans_pp_init(x, 5, np.random.default_rng(6)),
             _kmeans_pp_init_reference(x, 5, np.random.default_rng(6)))
 
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11])
+    def test_matches_reference_at_benchmark_shape(self, seed):
+        # fit-gmm --init kmeans_pp seeds its generator with 0
+        x = _benchmark_features(seed)
+        np.testing.assert_array_equal(
+            _kmeans_pp_init(x, 10, np.random.default_rng(0)),
+            _kmeans_pp_init_reference(x, 10, np.random.default_rng(0)))
+
+    def test_distances_are_clipped_at_zero(self):
+        # Unclipped, |x|^2 - 2 x.c + |c|^2 cancels to -6e-8 on 10 of these 20
+        # rows that lie on a centre, and rng.choice rejects negative weights.
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((200, 64)) * 100.0 + 1e3
+        d = _sq_dists(x, np.einsum("nh,nh->n", x, x), x[:20])
+        assert d.min() == 0.0
+        np.testing.assert_allclose(np.diag(d[:20]), 0.0, rtol=0, atol=1e-6)
+        assign = _kmeans_pp_init(np.repeat(x[:20], 10, axis=0), 5, np.random.default_rng(2))
+        assert set(assign.tolist()) == set(range(5))
+
 
 class TestMoments:
     # A sum of N float64 terms is within N * eps of the exact sum, relative
@@ -323,14 +367,15 @@ class TestMoments:
     N, H = 500, 6
     TOL = N * np.finfo(np.float64).eps
 
-    def _data(self):
+    def _data(self, n=N, k=1):
         rng = np.random.default_rng(0)
-        return rng.standard_normal((self.N, self.H)) * 3.0 + 1.0, rng.random(self.N)
+        return rng.standard_normal((n, self.H)) * 3.0 + 1.0, rng.random((n, k))
 
     def test_soft_weights_match_elementwise_reference(self):
         x, r = self._data()
         tol = self.TOL
-        nk, mean, cov = _moments(x, r, 1e-5)
+        nk, mean, cov = (a[0] for a in _moments(x, r, 1e-5))
+        r = r[:, 0]
         ref_mean = (r[:, None] * x).sum(axis=0) / r.sum()
         d = x - ref_mean
         ref_cov = (r[:, None] * d).T @ d / r.sum() + 1e-5 * np.eye(self.H)
@@ -342,17 +387,35 @@ class TestMoments:
     def test_unit_weights_match_sample_moments(self):
         x, _ = self._data()
         tol = self.TOL
-        nk, mean, cov = _moments(x, np.ones(self.N), 0.0)
+        nk, mean, cov = (a[0] for a in _moments(x, np.ones((self.N, 1)), 0.0))
         d = x - x.mean(axis=0)
         ref_cov = d.T @ d / self.N
         assert nk == self.N
         np.testing.assert_allclose(mean, x.mean(axis=0), rtol=0, atol=tol * np.abs(x).max())
         np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=tol * np.abs(ref_cov).max())
 
+    # one block, and two full blocks with a partial one
+    @pytest.mark.parametrize("n", [N, 2 * _block_rows(H) + 904])
+    def test_columns_match_one_column_calls(self, n):
+        x, r = self._data(n, k=4)
+        tol = n * np.finfo(np.float64).eps
+        nk, means, covs = _moments(x, r, 1e-5)
+        assert nk.shape == (4,) and means.shape == (4, self.H) and covs.shape == (4, self.H, self.H)
+        for i in range(4):
+            nk1, mean1, cov1 = (a[0] for a in _moments(x, r[:, i:i + 1], 1e-5))
+            assert nk[i] == pytest.approx(nk1, rel=tol)
+            np.testing.assert_allclose(means[i], mean1, rtol=0, atol=tol * np.abs(x).max())
+            np.testing.assert_allclose(covs[i], cov1, rtol=0, atol=tol * np.abs(cov1).max())
+        for c in covs:
+            assert np.array_equal(c, c.T)
+
     def test_zero_mass_raises_before_dividing(self):
-        x, r = self._data()
+        x, r = self._data(k=3)
         with pytest.raises(SingularModelError):
             _moments(x, np.zeros_like(r), 1e-5)
+        r[:, 1] = 0.0  # one collapsed column among live ones
+        with pytest.raises(SingularModelError):
+            _moments(x, r, 1e-5)
         with pytest.raises(SingularModelError):
             _moments(x[:0], r[:0], 1e-5)
 
