@@ -262,11 +262,13 @@ def softmax(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
     return softmax_from_logits(logits(head, z))
 
 
-def softmax_from_logits(ell: np.ndarray) -> np.ndarray:
+def softmax_from_logits(ell: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over ``axis`` (the class axis), computed in one new array."""
     ell = np.asarray(ell, dtype=np.float64)
-    shifted = ell - ell.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = ell - ell.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:

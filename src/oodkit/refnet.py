@@ -262,7 +262,10 @@ class MlpModel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.spec.d:
             raise DimensionError(f"expected {self.spec.d} input dims, got {x.shape[1]}")
-        return _forward(self.spec, self.weights, self.biases, x)[-1]
+        for w, b in zip(self.weights, self.biases):
+            x = x @ w + b
+            x = np.maximum(x, 0.0) if self.spec.activation == "relu" else np.tanh(x)
+        return x
 
     def logits(self, x) -> np.ndarray:
         return self.features(x) @ self.head_w + self.head_b
@@ -283,18 +286,19 @@ class MlpModel:
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray, weight_decay: float = 0.0):
         """Cross-entropy (+ head penalty) and gradients for every parameter:
-        a one-model call of the training kernel.
+        a one-model call of the training kernel. Labels outside [0, k)
+        raise DataFormatError.
 
         Returns (loss, grads dict with 'weights', 'biases', 'head_w', 'head_b').
         """
         loss, grads = _loss_and_grads(
-            self.spec, [w[None] for w in self.weights], [b[None, None] for b in self.biases],
-            self.head_w[None], self.head_b[None, None], np.asarray(x)[None],
-            np.asarray(y)[None], weight_decay)
+            self.spec, [w[None] for w in self.weights], [b[None, :, None] for b in self.biases],
+            self.head_w[None], self.head_b[None, :, None], np.asarray(x).T[None],
+            LabelVector(y, k=self.spec.k).labels[None], weight_decay)
         return float(loss[0]), {"weights": [g[0] for g in grads["weights"]],
-                                "biases": [g[0, 0] for g in grads["biases"]],
+                                "biases": [g[0, :, 0] for g in grads["biases"]],
                                 "head_w": grads["head_w"][0],
-                                "head_b": grads["head_b"][0, 0]}
+                                "head_b": grads["head_b"][0, :, 0]}
 
     # -- persistence ---------------------------------------------------------
 
@@ -333,60 +337,64 @@ class MlpModel:
             return cls.from_dict(json.load(f))
 
 
-def _forward(spec: MlpSpec, weights, biases, x: np.ndarray) -> list:
-    """Activations of every layer, input first and final-layer z last.
-
-    Takes one model's arrays, or a stack of models whose arrays all carry a
-    leading model axis (biases then shaped S x 1 x width).
-    """
-    acts = [x]
-    a = x
-    for w, b in zip(weights, biases):
-        a = a @ w + b
-        a = np.maximum(a, 0.0) if spec.activation == "relu" else np.tanh(a)
-        acts.append(a)
-    return acts
-
-
 def _loss_and_grads(spec: MlpSpec, weights, biases, head_w, head_b, x, y,
                     weight_decay: float):
     """Cross-entropy (+ weight_decay * head penalty) and the gradient of every
     parameter, for a stack of S models of one spec.
 
-    Every array carries a leading model axis: x is S x n x D, y is S x n,
-    weights[i] S x W_i x W_{i+1}, biases[i] S x 1 x W_{i+1}, head_w S x H x K
-    and head_b S x 1 x K. numpy's stacked matmul makes, for each model, the
-    BLAS call that the 2-D product would make, and every reduction runs
-    within one model, so each model's bits do not depend on the rest of the
-    stack. Returns (S losses, grads dict with 'weights', 'biases', 'head_w',
-    'head_b', shaped like the parameters).
+    Activations are feature-major, batch axis innermost: x is S x D x n and
+    every layer's output S x width x n; y is S x n integer labels,
+    weights[i] S x W_i x W_{i+1}, biases[i] S x W_{i+1} x 1, head_w S x H x K
+    and head_b S x K x 1. The forward pass is w^T @ a + b and the backward
+    pass a @ dpre^T and w @ dpre, so the activation, the softmax over K, the
+    label pick and the bias-gradient sums all run along the contiguous batch
+    axis. numpy's stacked matmul makes, for each model, the BLAS call that a
+    2-D product of the same shape and strides would make, and every
+    elementwise op and reduction stays within one model, so each model's bits
+    do not depend on the rest of the stack. Returns (S losses, grads dict
+    with 'weights', 'biases', 'head_w', 'head_b', shaped like the
+    parameters).
     """
-    s, n = y.shape
-    acts = _forward(spec, weights, biases, x)
+    n = y.shape[1]
+    relu = spec.activation == "relu"
+    acts = [x]
+    for w, b in zip(weights, biases):
+        a = w.swapaxes(1, 2) @ acts[-1]
+        a += b
+        if relu:
+            np.maximum(a, 0.0, out=a)
+        else:
+            np.tanh(a, out=a)
+        acts.append(a)
     z = acts[-1]
-    dlogits = softmax_from_logits(z @ head_w + head_b)
-    picked = (np.arange(s)[:, None], np.arange(n), y)
-    loss = -np.log(np.clip(dlogits[picked], 1e-300, None)).mean(axis=1)
+    logits = head_w.swapaxes(1, 2) @ z
+    logits += head_b
+    dlogits = softmax_from_logits(logits, axis=1)
+    onehot = y[:, None] == np.arange(spec.k)[:, None]
+    picked = (dlogits * onehot).sum(axis=1)
+    loss = -np.log(np.clip(picked, 1e-300, None)).mean(axis=1)
     loss += weight_decay * ((head_w ** 2).sum(axis=(1, 2)) + (head_b ** 2).sum(axis=(1, 2)))
 
-    dlogits[picked] -= 1.0
+    dlogits -= onehot
     dlogits /= n
-    g_head_w = z.swapaxes(1, 2) @ dlogits + 2.0 * weight_decay * head_w
-    g_head_b = dlogits.sum(axis=1, keepdims=True) + 2.0 * weight_decay * head_b
+    g_head_w = z @ dlogits.swapaxes(1, 2) + 2.0 * weight_decay * head_w
+    g_head_b = dlogits.sum(axis=2, keepdims=True) + 2.0 * weight_decay * head_b
 
-    da = dlogits @ head_w.swapaxes(1, 2)
+    dpre = head_w @ dlogits
     g_w = [None] * len(weights)
     g_b = [None] * len(biases)
     for i in range(len(weights) - 1, -1, -1):
         a_out = acts[i + 1]
-        if spec.activation == "relu":
-            dpre = da * (a_out > 0.0)
+        if relu:
+            dpre *= a_out > 0.0
         else:
-            dpre = da * (1.0 - a_out ** 2)
-        g_w[i] = acts[i].swapaxes(1, 2) @ dpre
-        g_b[i] = dpre.sum(axis=1, keepdims=True)
+            slope = a_out * a_out
+            np.subtract(1.0, slope, out=slope)
+            dpre *= slope
+        g_w[i] = acts[i] @ dpre.swapaxes(1, 2)
+        g_b[i] = dpre.sum(axis=2, keepdims=True)
         if i:
-            da = dpre @ weights[i].swapaxes(1, 2)
+            dpre = weights[i] @ dpre
     return loss, {"weights": g_w, "biases": g_b, "head_w": g_head_w, "head_b": g_head_b}
 
 
@@ -396,11 +404,15 @@ def train_stack(datasets, spec: MlpSpec, cfgs) -> list:
     Each model gets its own ``MlpModel.init(cfg.seed)`` parameters, its own
     minibatch order (drawn from ``default_rng(cfg.seed + 1)``), its own data
     and its own frozen head or none; every step is one forward/backward pass
-    and one update of the whole stack. The result is bitwise the one of
-    training each model alone with ``train``. All pairs must share n, epochs,
-    batch size, learning rate and weight decay. Raises NumericalError as
-    soon as any model's loss is not finite, or when the last update leaves a
-    parameter non-finite.
+    of ``_loss_and_grads`` and one update of the whole stack. Each epoch
+    gathers every model's permuted inputs and labels once, into one reused
+    S x D x n buffer, and each minibatch is a slice of it. A model's
+    slice has the same shape and strides whatever the stack holds, and no op
+    mixes models, so the result is bitwise the one of training each model
+    alone with ``train``. All pairs must share n, epochs, batch size,
+    learning rate and weight decay. Raises NumericalError as soon as any
+    model's loss is not finite, or when the last update leaves a parameter
+    non-finite.
     """
     if len(cfgs) == 0 or len(datasets) != len(cfgs):
         raise ConfigError("a training stack needs one dataset per config and at least one")
@@ -421,34 +433,37 @@ def train_stack(datasets, spec: MlpSpec, cfgs) -> list:
 
     models = [MlpModel.init(spec, seed=c.seed, frozen_head=c.frozen_head) for c in cfgs]
     rngs = [np.random.default_rng(c.seed + 1) for c in cfgs]
-    x = np.stack([features.data for features, _ in datasets])
-    y = np.stack([labels.labels for _, labels in datasets])
     weights = [np.stack(w) for w in zip(*(m.weights for m in models))]
-    biases = [np.stack(b)[:, None] for b in zip(*(m.biases for m in models))]
+    biases = [np.stack(b)[..., None] for b in zip(*(m.biases for m in models))]
     head_w = np.stack([m.head_w for m in models])
-    head_b = np.stack([m.head_b for m in models])[:, None]
-    trainable = np.array([not m.head_frozen for m in models])
-    stack = np.arange(len(models))[:, None]
+    head_b = np.stack([m.head_b for m in models])[..., None]
+    trainable = np.array([not m.head_frozen for m in models])[:, None, None]
     n = sizes.pop()
     cfg = cfgs[0]
     lr = cfg.learning_rate
+    x_epoch = np.empty((len(models), spec.d, n))
+    y_epoch = np.empty((len(models), n), dtype=np.int64)
     for _ in range(cfg.epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
+        for i, ((features, labels), rng) in enumerate(zip(datasets, rngs)):
+            order = rng.permutation(n)
+            np.take(features.data.T, order, axis=1, out=x_epoch[i])
+            np.take(labels.labels, order, out=y_epoch[i])
         for start in range(0, n, cfg.batch_size):
-            idx = order[:, start:start + cfg.batch_size]
+            batch = slice(start, start + cfg.batch_size)
             loss, grads = _loss_and_grads(spec, weights, biases, head_w, head_b,
-                                          x[stack, idx], y[stack, idx], cfg.weight_decay)
+                                          x_epoch[..., batch], y_epoch[:, batch],
+                                          cfg.weight_decay)
             if not np.isfinite(loss).all():
                 raise NumericalError("training diverged: non-finite loss")
             for w, g in zip(weights, grads["weights"]):
                 w -= lr * g
             for b, g in zip(biases, grads["biases"]):
                 b -= lr * g
-            head_w[trainable] -= lr * grads["head_w"][trainable]
-            head_b[trainable] -= lr * grads["head_b"][trainable]
-    return [MlpModel(spec, [w[i] for w in weights], [b[i, 0] for b in biases],
-                     head_w[i], head_b[i, 0], head_frozen=not trainable[i])
-            for i in range(len(models))]
+            np.subtract(head_w, lr * grads["head_w"], out=head_w, where=trainable)
+            np.subtract(head_b, lr * grads["head_b"], out=head_b, where=trainable)
+    return [MlpModel(spec, [w[i] for w in weights], [b[i, :, 0] for b in biases],
+                     head_w[i], head_b[i, :, 0], head_frozen=m.head_frozen)
+            for i, m in enumerate(models)]
 
 
 def train(dataset, spec: MlpSpec, cfg: TrainConfig) -> MlpModel:
@@ -516,6 +531,12 @@ def _entropy_scores(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _entropy_rows(model.predict_proba(x))
 
 
+def _check_distinct(name: str, values) -> None:
+    """A repeated entry would train the same model twice and count it twice."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} must not repeat an entry")
+
+
 def _summary(name: str, values) -> dict:
     """``<name>_per_seed``, ``<name>_mean`` and ``<name>_stderr`` of per-seed values."""
     values = np.asarray(values, dtype=np.float64)
@@ -538,6 +559,8 @@ def depth_study(train_data, test_data, ood_features: FeatureMatrix,
         raise ConfigError("depth study needs at least one seed")
     if any(depth < 1 for depth in depths):
         raise ConfigError("depth must be >= 1")
+    _check_distinct("depths", depths)
+    _check_distinct("seeds", seeds)
     rows = []
     for depth in depths:
         spec = MlpSpec.uniform(train_x.h, width, depth, activation, train_y.k)
@@ -574,6 +597,8 @@ def run_counterfactual(structures, seeds, h=2, width=16, epochs=50, activation="
     """
     if len(structures) == 0 or len(seeds) == 0:
         raise ConfigError("counterfactual needs at least one structure and one seed")
+    _check_distinct("structures", structures)
+    _check_distinct("seeds", seeds)
     # Circumradius of the class means; the annulus sits just outside.
     mean_radius = separation / (2.0 * np.sin(np.pi / 3))
     data = []  # (train, test, ring) per position in seeds

@@ -280,6 +280,13 @@ _BAD_CONFIGS = {
     "no-seeds-counterfactual": ("counterfactual", None, ["--seeds", ""]),
     "no-structures": ("counterfactual", None, ["--structures", ""]),
     "no-seeds-depth-study": ("depth-study", None, ["--seeds", ""]),
+    # a repeated entry would train one model twice and count it twice
+    "repeated-structures": ("counterfactual", None, ["--structures", "optimal,trainable,optimal",
+                                                     "--epochs", "1"]),
+    "repeated-seeds-counterfactual": ("counterfactual", None, ["--seeds", "0,0,1",
+                                                               "--epochs", "1"]),
+    "repeated-depths": ("depth-study", None, ["--depths", "1,1", "--epochs", "1"]),
+    "repeated-seeds-depth-study": ("depth-study", None, ["--seeds", "3,3", "--epochs", "1"]),
     "negative-seed": ("gen-head", None, ["--seed", "-1"]),
     "negative-seed-file": ("fit-gmm", {"seed": -3}, []),
     "negative-seeds": ("counterfactual", None, ["--seeds", "-1"]),

@@ -19,7 +19,7 @@ from oodkit.refnet import (
     train,
     train_stack,
 )
-from oodkit.refnet import SweepState
+from oodkit.refnet import SweepState, _loss_and_grads
 from oodkit.structure import OptimalStructureSpec, gen_optimal_head
 
 
@@ -261,6 +261,115 @@ class TestTrainStack:
                 train_stack([data, data], spec, [cfg, other])
 
 
+def _reference_loss_and_grads(model, x, y, weight_decay):
+    """Row-major loss and gradients of one model: x is n x D, every
+    activation n x width, with the formulas the stacked kernel implements."""
+    acts = [x]
+    for w, b in zip(model.weights, model.biases):
+        pre = acts[-1] @ w + b
+        acts.append(np.maximum(pre, 0.0) if model.spec.activation == "relu" else np.tanh(pre))
+    logits = acts[-1] @ model.head_w + model.head_b
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    rows, n = np.arange(len(y)), len(y)
+    loss = (-np.log(np.clip(p[rows, y], 1e-300, None)).mean()
+            + weight_decay * ((model.head_w ** 2).sum() + (model.head_b ** 2).sum()))
+    dlogits = p.copy()
+    dlogits[rows, y] -= 1.0
+    dlogits /= n
+    grads = {"head_w": acts[-1].T @ dlogits + 2.0 * weight_decay * model.head_w,
+             "head_b": dlogits.sum(axis=0) + 2.0 * weight_decay * model.head_b,
+             "weights": [], "biases": []}
+    da = dlogits @ model.head_w.T
+    for i in range(len(model.weights) - 1, -1, -1):
+        a_out = acts[i + 1]
+        dpre = da * (a_out > 0.0) if model.spec.activation == "relu" else da * (1.0 - a_out ** 2)
+        grads["weights"].insert(0, acts[i].T @ dpre)
+        grads["biases"].insert(0, dpre.sum(axis=0))
+        da = dpre @ model.weights[i].T
+    return loss, grads
+
+
+class TestKernelReference:
+    """The stacked feature-major kernel against a row-major reference."""
+
+    WEIGHT_DECAY = 0.01
+
+    @staticmethod
+    def _spec(activation, depth):
+        return MlpSpec((3,) + (5,) * (depth - 1) + (2,), activation, 3)
+
+    @staticmethod
+    def _models(spec, rng):
+        # trainable, frozen optimal, trainable; relu units parked on the
+        # kink by the zero initial biases are moved off it
+        heads = [None, gen_optimal_head(OptimalStructureSpec(k=3, h=2, c1=2.0), seed=1), None]
+        models = [MlpModel.init(spec, seed=i, frozen_head=head) for i, head in enumerate(heads)]
+        for model in models:
+            for b in model.biases:
+                b += 0.1 * rng.standard_normal(b.shape)
+            model.head_b += 0.1 * rng.standard_normal(model.head_b.shape)
+        return models
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_stack_matches_row_major_reference(self, activation, depth):
+        rng = np.random.default_rng(depth)
+        spec = self._spec(activation, depth)
+        models = self._models(spec, rng)
+        # 2 full batches of 8 and a short last batch of 3
+        n, batch = 19, 8
+        xs = [rng.standard_normal((n, 3)) for _ in models]
+        ys = [rng.integers(0, 3, n) for _ in models]
+        orders = [rng.permutation(n) for _ in models]
+        stacked = ([np.stack(w) for w in zip(*(m.weights for m in models))],
+                   [np.stack(b)[..., None] for b in zip(*(m.biases for m in models))],
+                   np.stack([m.head_w for m in models]),
+                   np.stack([m.head_b for m in models])[..., None])
+        for start in range(0, n, batch):
+            idx = [order[start:start + batch] for order in orders]
+            loss, grads = _loss_and_grads(
+                spec, *stacked, np.stack([x[i].T for x, i in zip(xs, idx)]),
+                np.stack([y[i] for y, i in zip(ys, idx)]), self.WEIGHT_DECAY)
+            for s, model in enumerate(models):
+                ref_loss, ref = _reference_loss_and_grads(model, xs[s][idx[s]], ys[s][idx[s]],
+                                                          self.WEIGHT_DECAY)
+                np.testing.assert_allclose(loss[s], ref_loss, rtol=1e-12)
+                for got, want in zip(grads["weights"], ref["weights"]):
+                    np.testing.assert_allclose(got[s], want, rtol=1e-12)
+                for got, want in zip(grads["biases"], ref["biases"]):
+                    np.testing.assert_allclose(got[s, :, 0], want, rtol=1e-12)
+                np.testing.assert_allclose(grads["head_w"][s], ref["head_w"], rtol=1e-12)
+                np.testing.assert_allclose(grads["head_b"][s, :, 0], ref["head_b"], rtol=1e-12)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_train_follows_the_permuted_minibatches(self, frozen):
+        # two epochs of plain SGD over default_rng(seed + 1).permutation(n)
+        # slices, 2 full batches of 8 and a short last batch of 5
+        data = generate(_blob_task(seed=4, dim=3, n_per_class=7, separation=3.0))
+        x, y = data[0].data, data[1].labels
+        spec = self._spec("tanh", 2)
+        head = gen_optimal_head(OptimalStructureSpec(k=3, h=2, c1=2.0), seed=0) if frozen else None
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1,
+                          weight_decay=self.WEIGHT_DECAY, seed=5, frozen_head=head)
+        ref = MlpModel.init(spec, seed=cfg.seed, frozen_head=head)
+        rng = np.random.default_rng(cfg.seed + 1)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(y))
+            for start in range(0, len(y), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                _, grads = _reference_loss_and_grads(ref, x[idx], y[idx], cfg.weight_decay)
+                params = ref.weights + ref.biases + ([] if frozen else [ref.head_w, ref.head_b])
+                steps = grads["weights"] + grads["biases"] + (
+                    [] if frozen else [grads["head_w"], grads["head_b"]])
+                for param, step in zip(params, steps):
+                    param -= cfg.learning_rate * step
+        model = train(data, spec, cfg)
+        for got, want in zip(model.weights + model.biases + [model.head_w, model.head_b],
+                             ref.weights + ref.biases + [ref.head_w, ref.head_b]):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 class TestParameterGradients:
     def test_all_parameter_grads_match_central_differences(self):
         rng = np.random.default_rng(9)
@@ -295,6 +404,14 @@ class TestParameterGradients:
                 check(model.biases[li], grads["biases"][li])
             check(model.head_w, grads["head_w"])
             check(model.head_b, grads["head_b"])
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_classes_is_rejected(self, label):
+        # the kernel picks labels through a one-hot, which would match no
+        # class and leave the loss at -log(1e-300) without this check
+        model = MlpModel.init(MlpSpec((2, 4), k=3))
+        with pytest.raises(DataFormatError):
+            model.loss_and_grads(np.zeros((2, 2)), [0, label])
 
 
 class TestPersistence:
