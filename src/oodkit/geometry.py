@@ -4,7 +4,8 @@ Covers the empirical uncertainty threshold, the exact two-class slab
 (solved through the Gaussian half-space mass equation), the general-K
 union-of-slabs linear approximation fitted far from the origin, the
 per-component density region, and a seeded Monte Carlo mass estimator used
-as the oracle for all of them (``region_mass``, on labelled features).
+as the oracle for all of them (``region_mass``, on labelled features; the
+linear region's mass is drawn as K-wide logits).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "density_region",
     "mc_region_mass",
     "region_mass",
-    "span_basis",
 ]
 
 DEFAULT_MC_SEED = 20_240_601
@@ -193,16 +193,6 @@ class LinearApproxRegion:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         return self._member(_logits_rows(self.head, z))
 
-    def span_contains(self, q: np.ndarray):
-        """``contains`` for rows y = z @ q, with q = ``span_basis(head.w)``.
-
-        Since W = q q^T W, z.W = y.(q^T W): the same membership, on the
-        logits of y through the r x K head q^T W. So a Gaussian's mass in
-        the region can be counted from r-wide draws of y.
-        """
-        head = SoftmaxHead(q.T @ self.head.w, self.head.b)
-        return lambda y: self._member(_logits_rows(head, y))
-
     def _member(self, zw: np.ndarray) -> np.ndarray:
         """Membership of rows from their bias-free logits zw = z.W.
 
@@ -221,13 +211,6 @@ class LinearApproxRegion:
             "slabs": [{"pair": [i, j], **slab.to_dict()}
                       for (i, j), slab in sorted(self.slabs.items())],
         }
-
-
-def span_basis(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis Q (H x r) of the column span of w: its left singular
-    vectors with s > s_0 * 1e-12, so w = Q Q^T w and r <= min(H, K)."""
-    u, s, _ = np.linalg.svd(w, full_matrices=False)
-    return u[:, s > s[0] * 1e-12]
 
 
 def _u_max_values(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
@@ -355,9 +338,10 @@ def mc_region_mass(contains, sampler: GaussianMixture, n: int, seed: int) -> flo
     ``sampler`` is the GaussianMixture to draw from, in batches of
     ``MC_BATCH`` draws; ``contains`` maps each piece of a batch that
     ``sampler.sample_chunks`` yields (an M x sampler.h array, M >= 1) to
-    booleans. The hits are counted piece by piece, so the scratch memory
-    does not grow with the batch. The batches draw in turn from one
-    ``default_rng(seed)``.
+    booleans, so the draws are in whatever space ``contains`` reads: H-wide
+    features, or K-wide logits for ``LinearApproxRegion._member``. The hits
+    are counted piece by piece, so the scratch memory does not grow with the
+    batch. The batches draw in turn from one ``default_rng(seed)``.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -373,19 +357,25 @@ def mc_region_mass(contains, sampler: GaussianMixture, n: int, seed: int) -> flo
 def region_mass(region, features: FeatureMatrix, labels: LabelVector, n: int,
                 seed: int) -> float:
     """Monte Carlo mass of ``region`` under p_in, from ``n`` draws of
-    ``seed``: one Gaussian per labelled class, moment-matched to its rows
-    (reg 1e-9). A ``LinearApproxRegion`` is counted in span(W) (see
-    ``span_contains``), on the classes moment-matched in the projection on
-    ``span_basis(head.w)``; any other region on H-wide draws. A class with
-    fewer than 2 rows raises ConfigError."""
+    ``seed``: one Gaussian per labelled class, moment-matched to its rows.
+
+    A ``LinearApproxRegion`` reads a row only through its bias-free logits,
+    so its classes are matched on the N x K training logits and ``_member``
+    tests the K-wide draws. W^T S W has rank <= H, and K - 1 for zero-sum
+    columns, so the ridge is 1e-9 * max(1, largest logit column variance):
+    it grows with every class's spread (law of total variance), where a
+    fixed 1e-9 is lost in rounding from logits of about 1e4. Any other region
+    is drawn H-wide with reg 1e-9; a class that is not positive definite
+    there raises SingularModelError, and one with fewer than 2 rows
+    ConfigError."""
     classes, counts = np.unique(labels.labels, return_counts=True)
     # the first class that is missing or has one row, else classes.size
     c = int(np.argmax(np.append((classes != np.arange(classes.size)) | (counts < 2), True)))
     if c < labels.k:
         raise ConfigError(f"class {c} has fewer than 2 samples")
-    x, contains = features.data, region.contains
+    x, contains, reg = features.data, region.contains, 1e-9
     if isinstance(region, LinearApproxRegion):
-        q = span_basis(region.head.w)
-        x, contains = x @ q, region.span_contains(q)
-    sampler = GaussianMixture(*_moment_match(x, labels.labels, labels.k, 1e-9))
+        x, contains = _logits_rows(region.head, x), region._member
+        reg *= max(1.0, float(x.var(axis=0).max()))
+    sampler = GaussianMixture(*_moment_match(x, labels.labels, labels.k, reg))
     return mc_region_mass(contains, sampler, n=n, seed=seed)

@@ -148,6 +148,32 @@ class TestRegion:
         assert len(region["thresholds"]) == 3
         assert all(t > 0 for t in region["thresholds"])
 
+    def test_mass_samples_add_little_peak_memory(self, tmp_path):
+        # 1e6 draws of a 20k x 64 linear region, against none: the count
+        # adds the N x K logits and O(block) scratch, nothing H-wide
+        resource = pytest.importorskip("resource")
+        head = gen_optimal_head(OptimalStructureSpec(k=10, h=64, c1=2.0), seed=0)
+        rng = np.random.default_rng(0)
+        y = np.arange(20_000) % head.k
+        x = 2.0 * head.w[:, y].T + rng.standard_normal((y.size, head.h))
+        save_features(tmp_path / "f.csv", FeatureMatrix(x), LabelVector(y, head.k))
+        save_head(tmp_path / "head.csv", head)
+        # A process's ru_maxrss starts from the peak of the one that exec'd
+        # it, so the CLI runs under a small launcher, not under pytest.
+        launcher = ("import resource, subprocess, sys; subprocess.run([sys.executable, '-c',"
+                    " 'import sys; from oodkit.cli import main; sys.exit(main())',"
+                    " *sys.argv[1:]], check=True);"
+                    " print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        args = ["region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
+                "--features", str(tmp_path / "f.csv"), "--outdir", str(tmp_path)]
+        peaks = []
+        for extra in ([], ["--mass-samples", "1000000"]):
+            proc = _run_python(launcher, *args, *extra)
+            assert proc.returncode == 0, proc.stderr
+            peaks.append(int(proc.stdout))
+        unit = 1 << (20 if sys.platform == "darwin" else 10)  # ru_maxrss bytes or KiB
+        assert (peaks[1] - peaks[0]) / unit < 16, peaks
+
 
 class TestAttribute:
     def test_identity_and_aggregate(self, tmp_path):
@@ -410,26 +436,33 @@ class TestExitCodes:
     _LINE_CLASS = "h0,h1,label\n0,0,0\n1e8,1e8,0\n2e8,2e8,0\n1,0,1\n0,1,1\n1,1,1\n"
 
     def test_singular_class_is_numerical_error(self, tmp_path, capsys):
-        # class 0 lies on a line, so its moment-matched covariance is not PD;
-        # W has rank 2 and the span basis is the identity, so the mass is
-        # drawn in all of R^2
+        # class 0 lies on a line, so its moment-matched covariance is not PD
+        # in the H-wide space the density region's mass is drawn in
         (tmp_path / "f.csv").write_text(self._LINE_CLASS)
-        (tmp_path / "head.csv").write_text("2.0,0.0\n0.0,1.0\n0,0\n")
-        assert _run("region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
+        (tmp_path / "gmm.json").write_text(json.dumps(_MIXTURE))
+        assert _run("region", "--kind", "density", "--gmm", str(tmp_path / "gmm.json"),
                     "--features", str(tmp_path / "f.csv"), "--mass-samples", "1000",
                     "--outdir", str(tmp_path / "out")) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical error:")
 
-    def test_class_singular_off_the_head_span_is_counted(self, tmp_path):
-        # W has rank 1, and class 0's line is not orthogonal to span(W), so
-        # its projection has a positive variance and the mass is counted
+    def _line_class_linear_mass(self, tmp_path, head):
         (tmp_path / "f.csv").write_text(self._LINE_CLASS)
-        (tmp_path / "head.csv").write_text("1.0,-1.0\n0.5,-0.5\n0,0\n")
+        (tmp_path / "head.csv").write_text(head)
         assert _run("region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
                     "--features", str(tmp_path / "f.csv"), "--mass-samples", "1000",
                     "--outdir", str(tmp_path / "out")) == EXIT_OK
         region = json.loads((tmp_path / "out" / "region.json").read_text())
         assert 0.0 <= region["mc_mass"] <= 1.0
+
+    def test_singular_class_linear_mass_is_counted(self, tmp_path):
+        # the linear region's mass is drawn on the logits, with a ridge that
+        # grows with their variance, so class 0's line is counted even
+        # through a full-rank W
+        self._line_class_linear_mass(tmp_path, "2.0,0.0\n0.0,1.0\n0,0\n")
+
+    def test_class_singular_off_the_head_span_is_counted(self, tmp_path):
+        # W has rank 1, so every class's logits are rank 1 too
+        self._line_class_linear_mass(tmp_path, "1.0,-1.0\n0.5,-0.5\n0,0\n")
 
     # bytes that are not UTF-8, in a config file and in a feature CSV
     @pytest.mark.parametrize("flags", [

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 from scipy.stats import chi2, norm
 
 from oodkit import geometry
-from oodkit.core import FeatureMatrix, LabelVector, SoftmaxHead
+from oodkit.core import FeatureMatrix, LabelVector, SoftmaxHead, _logits_rows
 from oodkit.errors import ConfigError, NumericalError
 from oodkit.estimators import score_batch, u_max
 from oodkit.geometry import (
@@ -19,7 +19,6 @@ from oodkit.geometry import (
     mc_region_mass,
     region_mass,
     solve_alpha_exact_k2,
-    span_basis,
 )
 from oodkit.gmm import GaussianMixture, _moment_match
 from oodkit.structure import OptimalStructureSpec, gen_counterfactual_head, gen_optimal_head
@@ -242,13 +241,13 @@ def _scalar_offsets(region):
 
 
 def _counterfactual_case(kind, seed=0, n=2000):
-    """A linear region fitted on a counterfactual head, on features of one
-    unit Gaussian per class around 2 w_c."""
+    """A linear region fitted on a counterfactual head, and labelled features
+    of one unit Gaussian per class around 2 w_c."""
     head = gen_counterfactual_head(kind)
     rng = np.random.default_rng(seed)
     y = rng.integers(0, head.k, n)
     x = FeatureMatrix(2.0 * head.w[:, y].T + rng.standard_normal((n, head.h)))
-    return fit_linear_region(head, x, 0.05)
+    return fit_linear_region(head, x, 0.05), x, LabelVector(y, head.k)
 
 
 class TestLockstepOffsets:
@@ -262,7 +261,7 @@ class TestLockstepOffsets:
         shapes = {"eq3": (2, 3, True), "eq5": (8, 5, True), "eq10": (64, 10, True),
                   "random64x10": (64, 10, False)}
         region = (_span_case(*shapes[case])[0] if case in shapes
-                  else _counterfactual_case(case))
+                  else _counterfactual_case(case)[0])
         offsets = _scalar_offsets(region)
         assert region.slabs.keys() == offsets.keys()
         for pair, slab in region.slabs.items():
@@ -552,86 +551,71 @@ class TestMonteCarloMass:
             mc_region_mass(lambda z: z[:, 0] > 0, model, n=0, seed=0)
 
 
-def _span_case(h, k, equiangular, seed=0, n=2000):
+def _span_case(h, k, equiangular, seed=0, n=2000, scale=1.0):
     """A fitted linear region with random biases, and labelled features of
-    one unit Gaussian per class around 2 w_c."""
+    one unit Gaussian per class around 2 w_c, multiplied by ``scale``."""
     rng = np.random.default_rng(seed)
     w = (gen_optimal_head(OptimalStructureSpec(k=k, h=h, c1=2.0), seed=seed).w
          if equiangular else rng.standard_normal((h, k)))
     head = SoftmaxHead(w=w, b=0.5 * rng.standard_normal(k))
     y = rng.integers(0, k, n)
-    x = FeatureMatrix(2.0 * w[:, y].T + rng.standard_normal((n, h)))
+    x = FeatureMatrix(scale * (2.0 * w[:, y].T + rng.standard_normal((n, h))))
     return fit_linear_region(head, x, 0.05), x, LabelVector(y, k)
 
 
-def _within_of_a_face(region, z, rel):
-    """Rows whose full-H slab difference d = zw_a - zw_j lies within rel *
-    scale of a face of a pair (a, j) that holds their argmax class a."""
-    zw = z @ region.head.w
-    a = np.argmax(zw + region.head.b, axis=1)
-    d = np.take_along_axis(zw, a[:, None], axis=1) - zw
-    lo, hi = region._lo[a], region._hi[a]
-    scale = np.abs(zw).max(axis=1, keepdims=True) + np.abs(lo) + np.abs(hi)
-    near = np.minimum(np.abs(d - lo), np.abs(d - hi)) <= rel * scale
-    return (near & (np.arange(region.head.k) != a[:, None])).any(axis=1)
-
-
-def _class_gaussians(x, labels):
+def _class_gaussians(x, labels, reg=1e-9):
     """One Gaussian per class, moment-matched to its rows as region_mass does."""
-    return GaussianMixture(*_moment_match(x, labels.labels, labels.k, 1e-9))
+    return GaussianMixture(*_moment_match(x, labels.labels, labels.k, reg))
+
+
+def _within_se(region, x, labels, n, seed):
+    """The logit-space mass agrees with the H-wide count on the same classes
+    within 4 combined binomial standard errors."""
+    full = mc_region_mass(region.contains, _class_gaussians(x.data, labels), n=n, seed=seed)
+    logit = region_mass(region, x, labels, n=n, seed=seed)
+    se = np.sqrt((full * (1 - full) + logit * (1 - logit)) / n)
+    assert 0 < full < 1 and abs(full - logit) <= 4 * se, (full, logit, se)
 
 
 class TestSpanCount:
-    """The linear region's mass counted from draws in span(W)."""
+    """The linear region's mass counted on K-wide draws of the logits, whose
+    law is that of the logits of the H-wide class Gaussians."""
 
-    # (H, K, equiangular): zero-sum columns give rank K - 1, random ones K,
-    # and H < K gives H, where q is a rotation of all of R^H.
-    CASES = [(64, 10, True), (64, 10, False), (2, 3, True)]
-
-    @pytest.mark.parametrize("h, k, equiangular", CASES)
-    def test_basis_spans_w(self, h, k, equiangular):
-        region, _, _ = _span_case(h, k, equiangular)
-        w = region.head.w
-        q = span_basis(w)
-        assert q.shape == (h, min(h, k - 1 if equiangular else k))
-        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(q @ (q.T @ w), w, rtol=0, atol=1e-12 * np.abs(w).max())
+    # (H, K, equiangular): zero-sum columns give logits of rank K - 1,
+    # random ones rank K
+    CASES = [(64, 10, True), (64, 10, False), (8, 5, False), (2, 3, True)]
 
     @pytest.mark.parametrize("h, k, equiangular", CASES)
-    def test_membership_matches_full_width(self, h, k, equiangular):
-        region, x, labels = _span_case(h, k, equiangular)
-        q = span_basis(region.head.w)
-        z = _class_gaussians(x.data, labels).sample(50_000, np.random.default_rng(1))
-        keep = ~_within_of_a_face(region, z, 1e-9)
-        full = region.contains(z)
-        assert keep.sum() > 0.99 * len(z)
-        assert 0 < full.sum() < len(z)
-        np.testing.assert_array_equal(region.span_contains(q)(z @ q)[keep], full[keep])
-
-    @pytest.mark.parametrize("h, k, equiangular", [CASES[0], CASES[2]])
     def test_mass_matches_full_width(self, h, k, equiangular):
-        # region_mass counts in span(W); 4 combined binomial standard errors
-        # from the H-wide count, on each of three seeds
-        region, x, labels = _span_case(h, k, equiangular)
-        full_model = _class_gaussians(x.data, labels)
-        n = 60_000
-        for seed in (1, 2, 3):
-            full = mc_region_mass(region.contains, full_model, n=n, seed=seed)
-            span = region_mass(region, x, labels, n=n, seed=seed)
-            se = np.sqrt((full * (1 - full) + span * (1 - span)) / n)
-            assert 0 < full < 1 and abs(full - span) <= 4 * se
+        _within_se(*_span_case(h, k, equiangular), n=200_000, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["sandwich", "stack", "lopsided"])
+    def test_counterfactual_mass_matches_full_width(self, kind, seed):
+        _within_se(*_counterfactual_case(kind, seed=seed), n=200_000, seed=1)
 
 
 class TestRegionMass:
     """The region's mass under the per-class Gaussians of labelled features."""
 
     def test_linear_region_counts_in_span(self):
+        # the classes of the training logits, with the ridge scaled to them
         region, x, labels = _span_case(64, 10, True)
-        q = span_basis(region.head.w)
-        span_model = _class_gaussians(x.data @ q, labels)
-        assert span_model.h == q.shape[1] == 9
+        zw = _logits_rows(region.head, x.data)
+        model = _class_gaussians(zw, labels, 1e-9 * max(1.0, zw.var(axis=0).max()))
+        assert model.h == 10
         assert (region_mass(region, x, labels, n=20_000, seed=5)
-                == mc_region_mass(region.span_contains(q), span_model, n=20_000, seed=5))
+                == mc_region_mass(region._member, model, n=20_000, seed=5))
+
+    # The logit covariance is rank-deficient (K - 1 = 3 of 4; H = 2, 3 of
+    # K = 5, 10), and a fixed 1e-9 ridge is lost in its rounding at these
+    # scales; the logit-scaled ridge keeps every class positive definite.
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    @pytest.mark.parametrize("h, k, equiangular", [(16, 4, True), (2, 5, False),
+                                                   (3, 10, False)])
+    def test_linear_mass_survives_feature_scale(self, h, k, equiangular, scale):
+        region, x, labels = _span_case(h, k, equiangular, scale=scale)
+        assert 0.0 <= region_mass(region, x, labels, n=20_000, seed=5) <= 1.0
 
     def test_density_region_counts_at_full_width(self):
         _, x, labels = _span_case(8, 3, True)
