@@ -2,10 +2,10 @@
 
 Covers the empirical uncertainty threshold, the exact two-class slab
 (solved through the Gaussian half-space mass equation), the general-K
-union-of-slabs linear approximation fitted far from the origin, the
-per-component density region, and a seeded Monte Carlo mass estimator used
-as the oracle for all of them (``region_mass``, on labelled features; the
-linear region's mass is drawn as K-wide logits).
+union-of-slabs linear approximation (the far-field contour in closed form
+from one log-odds quantile), the per-component density region, and a seeded
+Monte Carlo mass estimator used as the oracle for all of them (``region_mass``,
+on labelled features; the linear region's mass is drawn as K-wide logits).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
 
 DEFAULT_MC_SEED = 20_240_601
 MC_BATCH = 100_000  # draws per batch of mc_region_mass
-FAR_FIELD_FACTOR = 1e3
 SEPARABILITY_TAIL = 1e-4
 
 
@@ -213,11 +212,6 @@ class LinearApproxRegion:
         }
 
 
-def _u_max_values(head: SoftmaxHead, z: np.ndarray) -> np.ndarray:
-    """u_max of N x H rows, bitwise the ``u_max`` column of score_batch."""
-    return -softmax_from_logits(_logits_rows(head, z) + head.b).max(axis=1)
-
-
 def _first_crossing(f, level, tol: float) -> np.ndarray:
     """Smallest t > 0 with f(t) <= level in each lane of ``level``, for f
     decreasing in t; f maps an array of t, one per lane, to their values.
@@ -242,20 +236,37 @@ def _first_crossing(f, level, tol: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def fit_linear_region(head: SoftmaxHead, train_features: FeatureMatrix,
-                      epsilon: float,
-                      far_field_factor: float = FAR_FIELD_FACTOR) -> LinearApproxRegion:
-    """Fit per-pair slab offsets so each slab matches the u_max = u_star
-    contour far from the origin along the pair's boundary direction.
+def _log_odds(ell: np.ndarray) -> np.ndarray:
+    """Row-wise t = logsumexp_{j != a}(l_j - l_a), a the argmax: u_max is
+    -1 / (1 + e^t), without its saturation. The argmax term is masked out of
+    the sum; logsumexp(l) - max l rounds to 0 on a saturated row."""
+    a = np.argmax(ell, axis=1)[:, None]
+    d = ell - np.take_along_axis(ell, a, axis=1)
+    np.put_along_axis(d, a, -np.inf, axis=1)
+    top = d.max(axis=1)
+    d -= top[:, None]
+    return top + np.log(np.exp(d, out=d).sum(axis=1))
 
-    The +n and -n offsets of all pairs are the lanes of one
-    ``_first_crossing``, one ``_u_max_values`` call per step; its rows do not
-    depend on the batch, so the lanes stay independent of each other.
+
+def fit_linear_region(head: SoftmaxHead, train_features: FeatureMatrix,
+                      epsilon: float) -> LinearApproxRegion:
+    """Slabs |n.z + b_i - b_j| < tau, n = w_i - w_j, around every pair's
+    boundary. Far out on it only l_i and l_j matter, so the u_max = u_star
+    contour lies at |l_i - l_j| = tau = max(0, -t_star), t_star the
+    (1 - epsilon) quantile of the training rows' ``_log_odds``. Masked by the
+    argmax cells, the slabs are the margin set {l_(1) - l_(2) < tau}, inside
+    {t > t_star}: every member exceeds u_star, on any head. u_star is bitwise
+    the quantile of ``score``'s ``u_max`` column. t_star >= 0 (u_star >= -1/2)
+    warns that the far-field approximation does not apply and leaves every
+    slab empty; overflowing training logits raise NumericalError.
     """
-    u_star = empirical_threshold(_u_max_values(head, train_features.data), epsilon)
-    norms = head.column_norms()
-    far = far_field_factor * float(norms.max())
-    pairs = {}
+    ell = _logits_rows(head, train_features.data) + head.b
+    if not np.all(np.isfinite(ell)):
+        raise NumericalError("training logits are not finite")
+    u_star = empirical_threshold(-softmax_from_logits(ell).max(axis=1), epsilon)
+    t_star = empirical_threshold(_log_odds(ell), epsilon)
+    tau = max(0.0, -t_star)
+    slabs = {}
     for i in range(head.k):
         for j in range(i + 1, head.k):
             n = head.w[:, i] - head.w[:, j]
@@ -263,23 +274,11 @@ def fit_linear_region(head: SoftmaxHead, train_features: FeatureMatrix,
             if nsq <= 1e-24:
                 raise ConfigError(f"degenerate class pair ({i}, {j}): w_i = w_j")
             # Boundary point: n.z + (b_i - b_j) = 0, nearest to origin.
-            d = float(head.b[i] - head.b[j])
-            z0 = -d / nsq * n
-            # Far-field direction along the boundary, in the (w_i, w_j) plane.
-            e = head.w[:, i] + head.w[:, j]
-            e = e - (e @ n) / nsq * n
-            e_norm = np.linalg.norm(e)
-            pairs[(i, j)] = (n, z0, z0 if e_norm < 1e-12 else z0 + far * (e / e_norm))
-    # Lanes: every pair's +n side, then its -n side. u_max decreases away
-    # from the boundary on either side, as the bisection assumes.
-    normals, anchors, bases = zip(*pairs.values())
-    lane_n, lane_base = np.array(normals * 2), np.array(bases * 2)
-    side = np.repeat([1.0, -1.0], len(pairs))
-    t_hi, t_lo = _first_crossing(
-        lambda t: _u_max_values(head, lane_base + (side * t)[:, None] * lane_n),
-        np.full(side.size, u_star), 1e-12).reshape(2, -1)
-    slabs = {pair: SlabRegion(normal=n, anchor=z0, alpha_lo=float(lo), alpha_hi=float(hi))
-             for pair, n, z0, lo, hi in zip(pairs, normals, anchors, t_lo, t_hi)}
+            z0 = -float(head.b[i] - head.b[j]) / nsq * n
+            slabs[(i, j)] = SlabRegion(n, z0, tau / nsq, tau / nsq)
+    if t_star >= 0.0:
+        warnings.warn(f"u_star = {u_star:.6g} >= -1/2: the far-field approximation "
+                      "does not apply, so every slab is empty", stacklevel=2)
     return LinearApproxRegion(head=head, slabs=slabs, u_star=u_star, epsilon=epsilon)
 
 

@@ -406,6 +406,34 @@ class TestExitCodes:
             "covariances may be poorly conditioned\n"
             "numerical error: empty component after 3 reinitializations\n")
 
+    def test_overflowing_logits_are_numerical_error(self, tmp_path, capsys):
+        # finite features whose logits overflow leave no threshold to write
+        (tmp_path / "f.csv").write_text("h0,h1,label\n1e307,0,0\n0,1e307,1\n1,2,0\n")
+        (tmp_path / "head.csv").write_text("100,0\n0,100\n0,0\n")
+        assert _run("region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
+                    "--features", str(tmp_path / "f.csv"),
+                    "--outdir", str(tmp_path / "out")) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical error: training logits are not finite\n"
+        assert not (tmp_path / "out" / "region.json").exists()
+
+    def test_bounded_region_warns_in_one_line(self, tmp_path):
+        # u_star >= -1/2: the region is written with empty slabs, and exits 0
+        head = gen_optimal_head(OptimalStructureSpec(k=5, h=8, c1=1.0), seed=0)
+        fm, lv = synthesize_cluster_features(head, c3=2.0, n_per_class=200, noise=1.0,
+                                             seed=0)
+        save_head(tmp_path / "head.csv", head)
+        save_features(tmp_path / "f.csv", fm, lv)
+        proc = _run_python("import sys; from oodkit.cli import main; sys.exit(main())",
+                           "region", "--kind", "linear", "--outdir", str(tmp_path),
+                           "--head", str(tmp_path / "head.csv"),
+                           "--features", str(tmp_path / "f.csv"))
+        assert proc.returncode == EXIT_OK
+        assert len(proc.stderr.splitlines()) == 1
+        assert re.fullmatch(r"warning: u_star = -0\.\d+ >= -1/2: the far-field approximation "
+                            r"does not apply, so every slab is empty\n", proc.stderr)
+        region = json.loads((tmp_path / "region.json").read_text())
+        assert all(s["alpha_lo"] == s["alpha_hi"] == 0.0 for s in region["slabs"])
+
     def test_invalid_structure_spec(self, tmp_path):
         assert _run("gen-head", "--outdir", str(tmp_path), "--kind", "optimal",
                     "--k", "5", "--h", "2") == EXIT_CONFIG
@@ -445,24 +473,29 @@ class TestExitCodes:
                     "--outdir", str(tmp_path / "out")) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical error:")
 
-    def _line_class_linear_mass(self, tmp_path, head):
+    def _line_class_linear_mass(self, tmp_path, capsys, head):
+        # The row at the origin ties both logits, so u_star = -1/2: the
+        # slabs are empty and the CLI prints the bounded-region warning.
         (tmp_path / "f.csv").write_text(self._LINE_CLASS)
         (tmp_path / "head.csv").write_text(head)
         assert _run("region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
                     "--features", str(tmp_path / "f.csv"), "--mass-samples", "1000",
                     "--outdir", str(tmp_path / "out")) == EXIT_OK
+        assert capsys.readouterr().err.startswith("warning: u_star = -0.5 >= -1/2")
         region = json.loads((tmp_path / "out" / "region.json").read_text())
         assert 0.0 <= region["mc_mass"] <= 1.0
 
-    def test_singular_class_linear_mass_is_counted(self, tmp_path):
+    @pytest.mark.filterwarnings("default:u_star:UserWarning")
+    def test_singular_class_linear_mass_is_counted(self, tmp_path, capsys):
         # the linear region's mass is drawn on the logits, with a ridge that
         # grows with their variance, so class 0's line is counted even
         # through a full-rank W
-        self._line_class_linear_mass(tmp_path, "2.0,0.0\n0.0,1.0\n0,0\n")
+        self._line_class_linear_mass(tmp_path, capsys, "2.0,0.0\n0.0,1.0\n0,0\n")
 
-    def test_class_singular_off_the_head_span_is_counted(self, tmp_path):
+    @pytest.mark.filterwarnings("default:u_star:UserWarning")
+    def test_class_singular_off_the_head_span_is_counted(self, tmp_path, capsys):
         # W has rank 1, so every class's logits are rank 1 too
-        self._line_class_linear_mass(tmp_path, "1.0,-1.0\n0.5,-0.5\n0,0\n")
+        self._line_class_linear_mass(tmp_path, capsys, "1.0,-1.0\n0.5,-0.5\n0,0\n")
 
     # bytes that are not UTF-8, in a config file and in a feature CSV
     @pytest.mark.parametrize("flags", [

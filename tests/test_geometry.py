@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 from scipy.stats import chi2, norm
 
 from oodkit import geometry
-from oodkit.core import FeatureMatrix, LabelVector, SoftmaxHead, _logits_rows
+from oodkit.core import (FeatureMatrix, LabelVector, SoftmaxHead, _logits_rows,
+                         softmax_from_logits)
 from oodkit.errors import ConfigError, NumericalError
 from oodkit.estimators import score_batch, u_max
 from oodkit.geometry import (
@@ -187,20 +188,80 @@ class TestLinearRegion:
         in_loose = loose.contains(pts)
         assert not np.any(in_tight & ~in_loose)
 
-    def test_far_field_convergence(self):
-        head, fm, _ = self._fitted()
-        widths = []
-        for factor in (10.0, 100.0, 1000.0):
-            region = fit_linear_region(head, fm, 0.05, far_field_factor=factor)
-            widths.append(region.slabs[(0, 1)].alpha_hi)
-        assert abs(widths[2] - widths[1]) < abs(widths[1] - widths[0]) + 1e-12
-        assert abs(widths[2] - widths[1]) < 1e-6 * widths[2]
-
     def test_degenerate_pair_rejected(self):
         w = np.array([[1.0, 1.0], [0.0, 0.0]])
         head = SoftmaxHead(w=w, b=np.zeros(2))
         with pytest.raises(ConfigError):
             fit_linear_region(head, FeatureMatrix(np.zeros((5, 2)) + 0.1), 0.05)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_saturated_head_mass_is_epsilon(self, seed):
+        # u_max rounds to -1 on the training rows, so {u_max > u_star} is
+        # empty; the log-odds quantile t_star does not saturate.
+        region, x, labels = _span_case(64, 10, False, seed=seed)
+        assert region.u_star == -1.0
+        assert region_mass(region, x, labels, n=100_000, seed=1) == pytest.approx(0.05, abs=0.02)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.3])
+    @pytest.mark.parametrize("kind", ["sandwich", "stack", "lopsided"])
+    def test_members_exceed_threshold_on_any_head(self, kind, eps):
+        # The slabs masked by the argmax cells are the margin set
+        # {l_(1) - l_(2) < -t_star}, inside {u_max > u_star}, also for the
+        # collinear pairs: sandwich's (1, 2) and all of stack's.
+        region, x, labels = _counterfactual_case(kind, eps)
+        z = _class_gaussians(x.data, labels).sample(200_000, np.random.default_rng(1))
+        member = region.contains(z)
+        assert member.sum() > 10_000
+        assert np.all(_u_max_rows(region.head, z[member]) > region.u_star)
+
+    # u_star is -0.368, -0.367 and -0.439
+    @pytest.mark.parametrize("kind, seed, n", [("optimal", 0, 4000), ("optimal", 1, 4000),
+                                               ("stack", 0, 2000)])
+    def test_bounded_region_warns_and_is_empty(self, kind, seed, n):
+        # u_star >= -1/2 has no far-field contour, so every slab is empty
+        head = (gen_optimal_head(OptimalStructureSpec(k=5, h=8, c1=1.0), seed=seed)
+                if kind == "optimal" else gen_counterfactual_head(kind))
+        x, _ = _gaussian_features(head, seed, n)
+        with pytest.warns(UserWarning, match="far-field approximation does not apply"):
+            region = fit_linear_region(head, x, 0.05)
+        assert region.u_star >= -0.5
+        assert all(s.alpha_lo == s.alpha_hi == 0.0 for s in region.slabs.values())
+        assert not region.contains(x.data).any()
+
+    def test_overflowing_logits_raise(self):
+        head = SoftmaxHead(w=100.0 * np.eye(2), b=np.zeros(2))
+        x = FeatureMatrix(np.array([[1e307, 0.0], [0.0, 1e307], [1.0, 2.0]]))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            fit_linear_region(head, x, 0.05)
+
+
+def _u_max_rows(head, z):
+    """u_max of N x H rows, computed as score_batch computes it."""
+    return -softmax_from_logits(_logits_rows(head, z) + head.b).max(axis=1)
+
+
+class TestLogOdds:
+    def test_split_invariant(self):
+        ell = 5.0 * np.random.default_rng(0).standard_normal((1000, 10))
+        whole = geometry._log_odds(ell)
+        pieces = [geometry._log_odds(ell[a:b]) for a, b in ((0, 1), (1, 8), (8, 777), (777, 1000))]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+        # u_max = -1 / (1 + e^t)
+        np.testing.assert_allclose(-1.0 / (1.0 + np.exp(whole)),
+                                   -softmax_from_logits(ell).max(axis=1), rtol=1e-14)
+
+    def test_finite_where_full_logsumexp_rounds_to_max(self):
+        ell = np.array([[0.0, -40.0, -50.0], [-45.0, 0.0, -45.0]])
+        full = np.log(np.exp(ell).sum(axis=1)) - ell.max(axis=1)
+        assert np.all(full == 0.0)
+        np.testing.assert_allclose(geometry._log_odds(ell),
+                                   [np.logaddexp(-40.0, -50.0), -45.0 + np.log(2.0)],
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_m_way_tie(self, m):
+        ell = np.array([[-1e3] * (5 - m) + [2.5] * m])
+        assert geometry._log_odds(ell).tolist() == [np.log(m - 1.0)]
 
 
 def _scalar_crossing(f, level, tol):
@@ -219,70 +280,60 @@ def _scalar_crossing(f, level, tol):
     return 0.5 * (lo + hi)
 
 
-def _scalar_offsets(region):
-    """(alpha_lo, alpha_hi) of every pair from one scalar bisection per pair
-    and side, each step a 1-row _u_max_values call: the reference that the
-    lanes of fit_linear_region match bit for bit."""
-    head = region.head
-    far = geometry.FAR_FIELD_FACTOR * float(head.column_norms().max())
-    offsets = {}
-    for i, j in region.slabs:
-        n = head.w[:, i] - head.w[:, j]
-        nsq = float(n @ n)
-        z0 = -float(head.b[i] - head.b[j]) / nsq * n
-        e = head.w[:, i] + head.w[:, j]
-        e = e - (e @ n) / nsq * n
-        e_norm = np.linalg.norm(e)
-        base = z0 if e_norm < 1e-12 else z0 + far * (e / e_norm)
-        offsets[(i, j)] = tuple(_scalar_crossing(
-            lambda t: float(geometry._u_max_values(head, (base + side * t * n)[None, :])[0]),
-            region.u_star, 1e-12) for side in (-1.0, 1.0))
-    return offsets
-
-
-def _counterfactual_case(kind, seed=0, n=2000):
-    """A linear region fitted on a counterfactual head, and labelled features
-    of one unit Gaussian per class around 2 w_c."""
-    head = gen_counterfactual_head(kind)
+def _gaussian_features(head, seed, n):
+    """Labelled features of one unit Gaussian per class around 2 w_c."""
     rng = np.random.default_rng(seed)
     y = rng.integers(0, head.k, n)
     x = FeatureMatrix(2.0 * head.w[:, y].T + rng.standard_normal((n, head.h)))
-    return fit_linear_region(head, x, 0.05), x, LabelVector(y, head.k)
+    return x, LabelVector(y, head.k)
+
+
+def _counterfactual_case(kind, epsilon, seed=0, n=2000):
+    """A linear region fitted at ``epsilon`` on a counterfactual head, and
+    its ``_gaussian_features``."""
+    head = gen_counterfactual_head(kind)
+    x, labels = _gaussian_features(head, seed, n)
+    return fit_linear_region(head, x, epsilon), x, labels
 
 
 class TestLockstepOffsets:
-    """fit_linear_region solves all pairs and sides as lanes of one bisection."""
+    """The closed-form offsets against a far-field bisection: per pair and
+    side, the first crossing of u_max = u_star from a base point 1e3 max ||w||
+    out along the pair's boundary."""
 
-    # equiangular K = 3, 5, 10 and a random 64 x 10 head, all with biases;
-    # in stack every pair is collinear, so its base is z0
-    @pytest.mark.parametrize("case", ["eq3", "eq5", "eq10", "random64x10",
-                                      "sandwich", "stack", "lopsided"])
+    FAR = 1e3
+
+    def _bisected_offsets(self, region):
+        head = region.head
+        far = self.FAR * float(head.column_norms().max())
+        offsets = {}
+        for i, j in region.slabs:
+            n = head.w[:, i] - head.w[:, j]
+            nsq = float(n @ n)
+            z0 = -float(head.b[i] - head.b[j]) / nsq * n
+            e = head.w[:, i] + head.w[:, j]
+            e = e - (e @ n) / nsq * n
+            base = z0 + far * (e / np.linalg.norm(e))
+            offsets[(i, j)] = tuple(_scalar_crossing(
+                lambda t: float(_u_max_rows(head, (base + side * t * n)[None, :])[0]),
+                region.u_star, 1e-12) for side in (-1.0, 1.0))
+        return offsets
+
+    # equiangular K = 3, 5, 10 with biases, and lopsided. Their bases lie on
+    # their pairs' faces; a collinear pair (sandwich, stack) has no far field
+    # and a saturated head no crossing of u_star = -1.0, so they differ there
+    # by design.
+    @pytest.mark.parametrize("case", ["eq3", "eq5", "eq10", "lopsided"])
     def test_offsets_match_scalar_bisection(self, case):
-        shapes = {"eq3": (2, 3, True), "eq5": (8, 5, True), "eq10": (64, 10, True),
-                  "random64x10": (64, 10, False)}
+        shapes = {"eq3": (2, 3, True), "eq5": (8, 5, True), "eq10": (64, 10, True)}
         region = (_span_case(*shapes[case])[0] if case in shapes
-                  else _counterfactual_case(case)[0])
-        offsets = _scalar_offsets(region)
+                  else _counterfactual_case(case, 0.05)[0])
+        offsets = self._bisected_offsets(region)
         assert region.slabs.keys() == offsets.keys()
         for pair, slab in region.slabs.items():
             assert type(slab.alpha_lo) is float and type(slab.alpha_hi) is float
-            assert (slab.alpha_lo, slab.alpha_hi) == offsets[pair], pair
-
-    def test_one_u_max_call_per_step(self, monkeypatch):
-        # The threshold's call, then at most 61 doubling and 64 bisection
-        # steps, whatever the number of pairs. One call per pair and step
-        # made 3,691 on the benchmark head.
-        rows = []
-        u_max_values = geometry._u_max_values
-
-        def counted(head, z):
-            rows.append(len(z))
-            return u_max_values(head, z)
-
-        monkeypatch.setattr(geometry, "_u_max_values", counted)
-        _span_case(64, 10, True)
-        assert len(rows) <= 1 + 60 + 64
-        assert rows[0] == 2000 and set(rows[1:]) == {2 * 45}
+            np.testing.assert_allclose((slab.alpha_lo, slab.alpha_hi), offsets[pair],
+                                       rtol=1e-10, err_msg=str(pair))
 
 
 class TestFirstCrossing:
@@ -592,7 +643,9 @@ class TestSpanCount:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("kind", ["sandwich", "stack", "lopsided"])
     def test_counterfactual_mass_matches_full_width(self, kind, seed):
-        _within_se(*_counterfactual_case(kind, seed=seed), n=200_000, seed=1)
+        # at epsilon = 0.05 sandwich and stack have u_star > -1/2, hence
+        # empty regions
+        _within_se(*_counterfactual_case(kind, 0.3, seed=seed), n=200_000, seed=1)
 
 
 class TestRegionMass:
