@@ -83,7 +83,9 @@ def _cmd_fit_gmm(cfg) -> None:
 
 
 def _cmd_region(cfg) -> None:
-    eps = cfg["epsilon"]
+    eps, n_mass = cfg["epsilon"], cfg["mass_samples"]
+    if n_mass < 0:
+        raise ConfigError(f"mass_samples must be >= 0 (0 skips the estimate), got {n_mass}")
     features = labels = None
     if cfg["features"]:
         features, labels = core.load_features(cfg["features"])
@@ -96,7 +98,6 @@ def _cmd_region(cfg) -> None:
             raise ConfigError("density region needs --gmm")
         region = geometry.density_region(gmm_mod.GaussianMixture.load(cfg["gmm"]), eps)
     payload = region.to_dict()
-    n_mass = cfg["mass_samples"]
     if n_mass > 0:
         if features is None or labels is None:
             raise ConfigError("mass estimation needs labeled --features")

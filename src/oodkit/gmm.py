@@ -14,8 +14,10 @@ whole-batch pass, and a row's ``log_density`` equals its ``log_density_batch``
 entry. The EM moments (``_moments``) sum SYRK products over the same blocks
 in one buffer for all components, and the k-means distances (``_sq_dists``)
 are one N x C product, so EM holds no N x H temporary. ``sample_chunks``
-streams the Gaussian draws in the same row blocks through one reused buffer,
-so a Monte Carlo count holds O(block x H) scratch memory for any n.
+streams the Gaussian draws through one reused buffer in smaller pieces of
+about ``_PIECE_BYTES`` per temporary, so a Monte Carlo count holds
+O(piece x H) scratch memory for any n, and a piece of K = 10 logits is drawn
+by a BLAS product on the calling thread.
 """
 
 from __future__ import annotations
@@ -33,18 +35,24 @@ __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _BLOCK_BYTES = 1 << 20  # bytes per float64 temporary of a row block
+# Bytes per float64 temporary of a sample_chunks piece. A piece of K = 10
+# logits (1638 x 10 @ 10 x 10) is drawn on the calling thread: OpenBLAS
+# 0.3.31 gives products of 10 columns a second thread from 5243 rows on,
+# and its spin-wait between the pieces' products about doubles a Monte
+# Carlo count's CPU time. 64 columns take two threads from 128 rows on.
+_PIECE_BYTES = 1 << 17
 
 
-def _block_rows(h: int) -> int:
-    """Rows of an h-wide float64 temporary in _BLOCK_BYTES, at least 2."""
-    return max(2, _BLOCK_BYTES // (8 * h))
+def _block_rows(h: int, nbytes: int = _BLOCK_BYTES) -> int:
+    """Rows of an h-wide float64 temporary in nbytes, at least 2."""
+    return max(2, nbytes // (8 * h))
 
 
-def _row_blocks(n: int, h: int):
+def _row_blocks(n: int, h: int, nbytes: int = _BLOCK_BYTES):
     """Slices that cover rows 0..n-1 in order: for n >= 1, ceil((n - 1) /
-    step) blocks (at least one) for step = _block_rows(h), their sizes
-    within one row of each other. So a block has at most step + 1 rows, and
-    only a 1-row input gives a 1-row block.
+    step) blocks (at least one) for step = _block_rows(h, nbytes), their
+    sizes within one row of each other. So a block has at most step + 1
+    rows, and only a 1-row input gives a 1-row block.
 
     No block is much shorter than the others: a BLAS product on a few rows
     can take a small-matrix path whose bits differ from those of the same
@@ -52,7 +60,7 @@ def _row_blocks(n: int, h: int):
     the BLAS build and the kernel it picks for the CPU; on OpenBLAS 0.3.31's
     SkylakeX kernel, 64 x 10 products on fewer than about 1562 rows did.
     """
-    count = max(1, -(-(n - 1) // _block_rows(h))) if n else 0
+    count = max(1, -(-(n - 1) // _block_rows(h, nbytes))) if n else 0
     for i in range(count):
         yield slice(i * n // count, (i + 1) * n // count)
 
@@ -185,24 +193,28 @@ class GaussianMixture:
 
         The stream of ``rng.multivariate_normal(method="cholesky")`` per
         component: multinomial counts, then mean + N(0, I) @ L^T for each
-        component in ``_row_blocks``. L is the cached ``np.linalg.cholesky``
-        factor, the one that call uses. No piece is much shorter than a
-        block unless its component is, so that each piece's product has the
-        bits of that call's whole-component product. BLAS does not promise
-        this: it held for every count tried on OpenBLAS 0.3.31's SkylakeX
-        kernel, and a BLAS that picks another kernel for some piece shapes
-        can leave the stream by an ulp on those rows
+        component in ``_row_blocks`` of about ``_PIECE_BYTES`` (128 KiB) per
+        temporary: 1638 rows 10 wide, 256 rows 64 wide. A 10-wide product
+        that small runs on the calling thread, so a count of K = 10 logits
+        wakes no BLAS thread to spin and can run its batches on threads of
+        its own. L is the cached ``np.linalg.cholesky`` factor, the one that
+        call uses. No piece is much shorter than the others of its component,
+        so that each piece's product has the bits of that call's
+        whole-component product. BLAS does not promise this: it held for
+        every count tried on OpenBLAS 0.3.31's SkylakeX kernel, and a BLAS
+        that picks another kernel for some piece shapes can leave the stream
+        by an ulp on those rows
         (``test_matches_stream_when_a_component_spans_pieces`` and
         ``test_matches_multivariate_normal_stream`` then fail). The pieces
         come in component order, each a view of one reused buffer that the
         next piece overwrites; only a 1-draw component gives a 1-row piece.
         """
         counts = rng.multinomial(n, self.weights)
-        rows = min(int(counts.max(initial=0)), _block_rows(self.h) + 1)
+        rows = min(int(counts.max(initial=0)), _block_rows(self.h, _PIECE_BYTES) + 1)
         normals = np.empty((rows, self.h))
         draws = np.empty((rows, self.h))
         for i, c in enumerate(counts):
-            for block in _row_blocks(c, self.h):
+            for block in _row_blocks(c, self.h, _PIECE_BYTES):
                 m = block.stop - block.start
                 rng.standard_normal(out=normals[:m])
                 piece = np.matmul(normals[:m], self._chols[i].T, out=draws[:m])

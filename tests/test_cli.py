@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import oodkit
 from oodkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, VERBS, main
 from oodkit.core import FeatureMatrix, LabelVector, save_features, save_head
+from oodkit.gmm import GaussianMixture
 from oodkit.metrics import attribute
 from oodkit.refnet import MlpModel, MlpSpec
 from oodkit.structure import OptimalStructureSpec, gen_optimal_head, synthesize_cluster_features
@@ -320,6 +321,12 @@ _BAD_CONFIGS = {
     "negative-mass-seed": ("region", None, ["--head", "head.csv", "--features", "features.csv",
                                             "--mass-samples", "100", "--mass-seed", "-1"]),
     # the cases below reach the verb, with the files that the test writes
+    "negative-mass-samples-linear": ("region", None, ["--head", "head.csv",
+                                                      "--features", "features.csv",
+                                                      "--mass-samples", "-5"]),
+    "negative-mass-samples-density": ("region", {"kind": "density", "gmm": "gmm.json",
+                                                 "features": "features.csv",
+                                                 "mass_samples": -5}, []),
     "task-param-word": ("train-toy", None, ["--task-params", '{"k": "x"}']),
     "task-param-null": ("train-toy", None, ["--task-params", '{"k": null}']),
     "task-param-negative-seed": ("train-toy", None, ["--task-params", '{"seed": -1}']),
@@ -586,6 +593,7 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         save_head(tmp_path / "head.csv", _write_cluster_features(tmp_path / "features.csv"))
         (tmp_path / "model.json").write_text(json.dumps(_MODEL))
+        GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)]).save(tmp_path / "gmm.json")
         verb, payload, flags = _BAD_CONFIGS[case]
         if payload is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(payload))
@@ -824,8 +832,39 @@ class TestNumpyOnly:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [EXIT_OK] * len(runs), proc.stderr
 
+    def test_cli_import_loads_no_scipy_or_thread_pool(self):
+        # Both are costly to import: every verb's start-up would pay for
+        # them. The Monte Carlo count imports its thread pool when it uses it.
+        proc = _run_python("import sys, oodkit.cli; print(sorted(name for name in"
+                           " ('scipy', 'concurrent.futures') if name in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestReproducibility:
+    def test_linear_mass_ignores_blas_threads(self, tmp_path, monkeypatch):
+        # two batches, so counted on as many threads as there are cores (up
+        # to two), with OpenBLAS on one thread and on its default count
+        head = gen_optimal_head(OptimalStructureSpec(k=10, h=64, c1=2.0), seed=1)
+        save_head(tmp_path / "head.csv", head)
+        save_features(tmp_path / "f.csv",
+                      *synthesize_cluster_features(head, c3=2.0, n_per_class=300, noise=1.0))
+        outputs = []
+        for threads in ("1", None):
+            if threads is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            out = tmp_path / f"threads-{threads}"
+            proc = _run_python("import sys; from oodkit.cli import main; sys.exit(main())",
+                               "region", "--kind", "linear", "--mass-samples", "200000",
+                               "--head", str(tmp_path / "head.csv"),
+                               "--features", str(tmp_path / "f.csv"), "--outdir", str(out))
+            assert proc.returncode == EXIT_OK and not proc.stderr, proc.stderr
+            outputs.append((out / "region.json").read_bytes())
+        assert b'"mc_mass"' in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_score_rerun_is_byte_identical(self, tmp_path):
         head = _write_cluster_features(tmp_path / "f.csv", seed=5)
         from oodkit.core import save_head

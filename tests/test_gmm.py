@@ -307,6 +307,15 @@ class TestSample:
         # both leave the generator at the same place in its stream
         assert rng.integers(1 << 62) == sample_rng.integers(1 << 62)
 
+    @pytest.mark.parametrize("h, rows", [(10, 1638), (64, 256)])
+    def test_pieces_are_128_kib(self, h, rows):
+        # 128 KiB per temporary: OpenBLAS draws a 10-wide piece on the
+        # calling thread
+        gmm = _random_mixture(2, k=3, h=h)
+        sizes = [len(piece) for piece in gmm.sample_chunks(20_000, np.random.default_rng(0))]
+        assert sum(sizes) == 20_000
+        assert max(sizes) <= rows + 1 < 2 * min(sizes)
+
     def test_zero_draws_are_an_empty_batch(self):
         gmm = _random_mixture(4, k=3, h=5)
         x = gmm.sample(0, np.random.default_rng(0))
