@@ -11,7 +11,6 @@ on labelled features; the linear region's mass is drawn as K-wide logits).
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -331,8 +330,7 @@ def density_region(gmm: GaussianMixture, epsilon: float) -> DensityRegion:
                          epsilon=epsilon)
 
 
-def mc_region_mass(contains, sampler: GaussianMixture, n: int, seed: int, *,
-                   workers: int = 1) -> float:
+def mc_region_mass(contains, sampler: GaussianMixture, n: int, seed: int) -> float:
     """Monte Carlo estimate of the sampler's mass inside the region,
     deterministic for a seed.
 
@@ -342,29 +340,17 @@ def mc_region_mass(contains, sampler: GaussianMixture, n: int, seed: int, *,
     booleans, so the draws are in whatever space ``contains`` reads: H-wide
     features, or K-wide logits for ``LinearApproxRegion._member``. The hits
     are counted piece by piece, so the scratch memory does not grow with the
-    batch. Batch b draws from ``default_rng`` of child b of
-    ``SeedSequence(seed).spawn``, so the batches are independent and the
-    summed hit count does not depend on the order they run in. With
-    ``workers`` > 1 they are counted on a thread pool of that size, and the
-    estimate is bitwise that of one worker; ``contains`` must then be safe
-    to call from several threads at once.
+    batch. The batches draw in turn from one ``default_rng(seed)``.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    sizes = [min(MC_BATCH, n - done) for done in range(0, n, MC_BATCH)]
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def hits(m: int, stream: np.random.SeedSequence) -> int:
-        rng = np.random.default_rng(stream)
-        return sum(int(np.count_nonzero(contains(piece)))
-                   for piece in sampler.sample_chunks(m, rng))
-
-    if workers > 1:
-        # Imported here: it costs every verb's start-up a few ms otherwise.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            return sum(pool.map(hits, sizes, streams)) / n
-    return sum(map(hits, sizes, streams)) / n
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for done in range(0, n, MC_BATCH):
+        m = min(MC_BATCH, n - done)
+        for piece in sampler.sample_chunks(m, rng):
+            hits += int(np.count_nonzero(contains(piece)))
+    return hits / n
 
 
 def region_mass(region, features: FeatureMatrix, labels: LabelVector, n: int,
@@ -377,26 +363,18 @@ def region_mass(region, features: FeatureMatrix, labels: LabelVector, n: int,
     tests the K-wide draws. W^T S W has rank <= H, and K - 1 for zero-sum
     columns, so the ridge is 1e-9 * max(1, largest logit column variance):
     it grows with every class's spread (law of total variance), where a
-    fixed 1e-9 is lost in rounding from logits of about 1e4. ``_member``
-    makes no BLAS call, and for K up to 32 OpenBLAS runs each K-wide draw
-    product on the calling thread (``gmm._PIECE_BYTES``), so the batches
-    are counted on min(batches, usable cores) threads. Any other region is
-    drawn H-wide with reg 1e-9 and counted on one thread, since its
-    membership is a BLAS product that already runs on every core; a class
-    that is not positive definite there raises SingularModelError. A class
-    with fewer than 2 rows raises ConfigError."""
+    fixed 1e-9 is lost in rounding from logits of about 1e4. Any other region
+    is drawn H-wide with reg 1e-9; a class that is not positive definite
+    there raises SingularModelError, and one with fewer than 2 rows
+    ConfigError."""
     classes, counts = np.unique(labels.labels, return_counts=True)
     # the first class that is missing or has one row, else classes.size
     c = int(np.argmax(np.append((classes != np.arange(classes.size)) | (counts < 2), True)))
     if c < labels.k:
         raise ConfigError(f"class {c} has fewer than 2 samples")
-    x, contains, reg, workers = features.data, region.contains, 1e-9, 1
+    x, contains, reg = features.data, region.contains, 1e-9
     if isinstance(region, LinearApproxRegion):
         x, contains = _logits_rows(region.head, x), region._member
         reg *= max(1.0, float(x.var(axis=0).max()))
-        # the CPUs this process may run on, where the OS keeps that mask
-        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-        workers = min(-(-n // MC_BATCH), cores)
     sampler = GaussianMixture(*_moment_match(x, labels.labels, labels.k, reg))
-    return mc_region_mass(contains, sampler, n=n, seed=seed, workers=workers)
+    return mc_region_mass(contains, sampler, n=n, seed=seed)

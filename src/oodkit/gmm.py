@@ -16,8 +16,7 @@ in one buffer for all components, and the k-means distances (``_sq_dists``)
 are one N x C product, so EM holds no N x H temporary. ``sample_chunks``
 streams the Gaussian draws through one reused buffer in smaller pieces of
 about ``_PIECE_BYTES`` per temporary, so a Monte Carlo count holds
-O(piece x H) scratch memory for any n, and a piece of K = 10 logits is drawn
-by a BLAS product on the calling thread.
+O(piece x H) scratch memory for any n.
 """
 
 from __future__ import annotations
@@ -35,11 +34,11 @@ __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _BLOCK_BYTES = 1 << 20  # bytes per float64 temporary of a row block
-# Bytes per float64 temporary of a sample_chunks piece. A piece of K = 10
-# logits (1638 x 10 @ 10 x 10) is drawn on the calling thread: OpenBLAS
-# 0.3.31 gives products of 10 columns a second thread from 5243 rows on,
-# and its spin-wait between the pieces' products about doubles a Monte
-# Carlo count's CPU time. 64 columns take two threads from 128 rows on.
+# Bytes per float64 temporary of a sample_chunks piece: 1638 rows 10 wide.
+# Measured on one build (OpenBLAS 0.3.31, 2 cores), where 10-column products
+# took a second thread from 5243 rows on and its spin-wait between the
+# pieces' products about doubled a Monte Carlo count's CPU time; 64-column
+# products took two threads from 128 rows on, so 64-wide pieces still do.
 _PIECE_BYTES = 1 << 17
 
 
@@ -193,13 +192,11 @@ class GaussianMixture:
 
         The stream of ``rng.multivariate_normal(method="cholesky")`` per
         component: multinomial counts, then mean + N(0, I) @ L^T for each
-        component in ``_row_blocks`` of about ``_PIECE_BYTES`` (128 KiB) per
-        temporary: 1638 rows 10 wide, 256 rows 64 wide. A 10-wide product
-        that small runs on the calling thread, so a count of K = 10 logits
-        wakes no BLAS thread to spin and can run its batches on threads of
-        its own. L is the cached ``np.linalg.cholesky`` factor, the one that
-        call uses. No piece is much shorter than the others of its component,
-        so that each piece's product has the bits of that call's
+        component in ``_row_blocks`` of about ``_PIECE_BYTES`` per temporary,
+        small enough that a product of few columns runs on one BLAS thread.
+        L is the cached ``np.linalg.cholesky`` factor, the one that call
+        uses. No piece is much shorter than the others of its component, so
+        that each piece's product has the bits of that call's
         whole-component product. BLAS does not promise this: it held for
         every count tried on OpenBLAS 0.3.31's SkylakeX kernel, and a BLAS
         that picks another kernel for some piece shapes can leave the stream

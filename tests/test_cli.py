@@ -832,19 +832,11 @@ class TestNumpyOnly:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [EXIT_OK] * len(runs), proc.stderr
 
-    def test_cli_import_loads_no_scipy_or_thread_pool(self):
-        # Both are costly to import: every verb's start-up would pay for
-        # them. The Monte Carlo count imports its thread pool when it uses it.
-        proc = _run_python("import sys, oodkit.cli; print(sorted(name for name in"
-                           " ('scipy', 'concurrent.futures') if name in sys.modules))")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
-
 
 class TestReproducibility:
     def test_linear_mass_ignores_blas_threads(self, tmp_path, monkeypatch):
-        # two batches, so counted on as many threads as there are cores (up
-        # to two), with OpenBLAS on one thread and on its default count
+        # two batches of K = 10 logit draws, with OpenBLAS on one thread and
+        # on its default count
         head = gen_optimal_head(OptimalStructureSpec(k=10, h=64, c1=2.0), seed=1)
         save_head(tmp_path / "head.csv", head)
         save_features(tmp_path / "f.csv",

@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 
 import numpy as np
@@ -552,44 +551,23 @@ def region_and_mixture():
 
 
 class TestMonteCarloMass:
-    # The count is that of the sample_chunks pieces of each batch, batch b
-    # drawn from child b of SeedSequence(seed). n=5 gives components of
-    # exactly one draw, hence 1-row pieces; a batch of 7000 leaves a short
-    # last batch. The batch is a module constant, patched here to keep the
-    # draws small.
+    # The count is that of the sample_chunks pieces of each batch in turn,
+    # drawn from one generator. n=5 gives components of exactly one draw,
+    # hence 1-row pieces; a batch of 7000 leaves a short last batch. The
+    # batch is a module constant, patched here to keep the draws small.
     @pytest.mark.parametrize("n, batch", [(5, 5), (20_000, 20_000), (20_000, 7_000)])
     def test_counts_what_sample_draws(self, region_and_mixture, monkeypatch, n, batch):
         region, mixture = region_and_mixture
-        streams = np.random.SeedSequence(29).spawn(-(-n // batch))
+        rng = np.random.default_rng(29)
         if n == 5:
-            assert 1 in np.random.default_rng(streams[0]).multinomial(5, mixture.weights)
+            assert 1 in rng.multinomial(5, mixture.weights)
+            rng = np.random.default_rng(29)
         hits = sum(int(np.count_nonzero(region.contains(piece)))
-                   for done, stream in zip(range(0, n, batch), streams)
-                   for piece in mixture.sample_chunks(min(batch, n - done),
-                                                      np.random.default_rng(stream)))
+                   for done in range(0, n, batch)
+                   for piece in mixture.sample_chunks(min(batch, n - done), rng))
         assert n < 20_000 or 0 < hits < n
         monkeypatch.setattr(geometry, "MC_BATCH", batch)
         assert mc_region_mass(region.contains, mixture, n=n, seed=29) == hits / n
-
-    def test_same_float_on_any_worker_count(self, monkeypatch):
-        # 20 batches of 1,000 draws and a short last one of 337, counted on
-        # 1, 2 and 4 threads with a short switch interval; region_mass
-        # counts them on the usable cores.
-        region, x, labels = _span_case(64, 10, True)
-        zw = _logits_rows(region.head, x.data)
-        model = _class_gaussians(zw, labels, 1e-9 * max(1.0, zw.var(axis=0).max()))
-        monkeypatch.setattr(geometry, "MC_BATCH", 1_000)
-        n = 20_337
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            masses = [mc_region_mass(region._member, model, n=n, seed=7, workers=workers)
-                      for workers in (1, 2, 4)]
-            masses.append(region_mass(region, x, labels, n=n, seed=7))
-        finally:
-            sys.setswitchinterval(interval)
-        assert 0 < masses[0] < 1
-        assert masses == [masses[0]] * 4
 
     def test_scratch_memory_does_not_grow_with_batch(self, region_and_mixture, monkeypatch):
         # Drawing whole batches held two batch x H buffers: 98 MiB here.

@@ -309,8 +309,7 @@ class TestSample:
 
     @pytest.mark.parametrize("h, rows", [(10, 1638), (64, 256)])
     def test_pieces_are_128_kib(self, h, rows):
-        # 128 KiB per temporary: OpenBLAS draws a 10-wide piece on the
-        # calling thread
+        # gmm._PIECE_BYTES per temporary, balanced within a component
         gmm = _random_mixture(2, k=3, h=h)
         sizes = [len(piece) for piece in gmm.sample_chunks(20_000, np.random.default_rng(0))]
         assert sum(sizes) == 20_000
