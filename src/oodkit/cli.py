@@ -358,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Non-finite results raise the typed errors below; a warning prints one line.
+        # Non-finite results raise the typed errors below; a warning prints one
+        # line, whatever filters the caller set (-W error would make it exit 1).
         with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("default")
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             VERBS[args.verb][0](_config(args.verb, args))
         return EXIT_OK

@@ -147,7 +147,7 @@ def solve_alpha_exact_k2(mixture: GaussianMixture, head: SoftmaxHead,
         return _gaussian_mass_outside_slab(mixture, w1, boundary - alpha * nsq,
                                            boundary + alpha * nsq)
 
-    alpha = float(_first_crossing(out_mass, 1.0 - epsilon, 1e-10))
+    alpha = _first_crossing(out_mass, 1.0 - epsilon, 1e-10)
     anchor = w1 * (boundary / nsq)
     return SlabRegion(normal=w1, anchor=anchor, alpha_lo=alpha, alpha_hi=alpha)
 
@@ -212,27 +212,24 @@ class LinearApproxRegion:
         }
 
 
-def _first_crossing(f, level, tol: float) -> np.ndarray:
-    """Smallest t > 0 with f(t) <= level in each lane of ``level``, for f
-    decreasing in t; f maps an array of t, one per lane, to their values.
+def _first_crossing(f, level: float, tol: float) -> float:
+    """Smallest t > 0 with f(t) <= level, for f decreasing in t.
 
-    Each lane's bracket [0, 1] doubles until f(hi) <= level, at most 60
-    times, then bisection stops once it is narrower than tol * max(1, hi).
-    The lanes advance together, one f call per step, and stay independent:
-    a finished lane is masked, not updated.
+    The bracket [0, 1] doubles until f(hi) <= level, at most 60 times, then
+    bisection stops once it is narrower than tol * max(1, hi).
     """
-    level = np.asarray(level, dtype=np.float64)
-    lo, hi = np.zeros(level.shape), np.ones(level.shape)
-    up = f(hi) > level
-    while np.any(up):
-        if np.any(up & (hi == 2.0 ** 60)):
+    hi = 1.0
+    while f(hi) > level:
+        if hi == 2.0 ** 60:
             raise NumericalError("no crossing of the level within 60 bracket doublings")
-        hi = np.where(up, 2.0 * hi, hi)
-        up &= f(hi) > level
-    while np.any(wide := hi - lo > tol * np.maximum(1.0, hi)):
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        above = f(mid) > level
-        lo, hi = np.where(wide & above, mid, lo), np.where(wide & ~above, mid, hi)
+        if f(mid) > level:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -325,7 +322,7 @@ def density_region(gmm: GaussianMixture, epsilon: float) -> DensityRegion:
     if not 0.0 < epsilon < 1.0:
         raise ConfigError("epsilon must lie in (0, 1)")
     # The chi-square (1 - epsilon)-quantile, bisected down to adjacent floats.
-    c = float(_first_crossing(lambda x: _chi2_sf(x, gmm.h), epsilon, np.finfo(float).eps))
+    c = _first_crossing(lambda x: _chi2_sf(x, gmm.h), epsilon, np.finfo(float).eps)
     return DensityRegion(gmm=gmm, thresholds=np.full(gmm.k_components, c),
                          epsilon=epsilon)
 

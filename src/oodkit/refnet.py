@@ -337,8 +337,17 @@ class MlpModel:
             return cls.from_dict(json.load(f))
 
 
+def _workspace(spec: MlpSpec, s: int, n: int) -> list:
+    """The S x width x n buffers of one training step at batch width n, per
+    hidden layer: (activation, slope, dpre). The slope is the activation's
+    derivative: a relu's 0/1 mask (bool) or a tanh's 1 - a^2."""
+    slope = bool if spec.activation == "relu" else np.float64
+    return [(np.empty((s, w, n)), np.empty((s, w, n), dtype=slope), np.empty((s, w, n)))
+            for w in spec.layer_widths[1:]]
+
+
 def _loss_and_grads(spec: MlpSpec, weights, biases, head_w, head_b, x, y,
-                    weight_decay: float):
+                    weight_decay: float, work=None):
     """Cross-entropy (+ weight_decay * head penalty) and the gradient of every
     parameter, for a stack of S models of one spec.
 
@@ -351,15 +360,23 @@ def _loss_and_grads(spec: MlpSpec, weights, biases, head_w, head_b, x, y,
     axis. numpy's stacked matmul makes, for each model, the BLAS call that a
     2-D product of the same shape and strides would make, and every
     elementwise op and reduction stays within one model, so each model's bits
-    do not depend on the rest of the stack. Returns (S losses, grads dict
+    do not depend on the rest of the stack.
+
+    Every layer's activation, slope and dpre are written with ``out=`` into
+    ``work``, a ``_workspace(spec, S, n)`` that the caller reuses from step
+    to step; without one the call builds its own. The step thus allocates
+    nothing S x width x n, so a stack above glibc's mmap threshold (128 KiB
+    per array) maps no fresh pages per step. Returns (S losses, grads dict
     with 'weights', 'biases', 'head_w', 'head_b', shaped like the
-    parameters).
+    parameters); none of them is a view of ``work``.
     """
     n = y.shape[1]
+    if work is None:
+        work = _workspace(spec, y.shape[0], n)
     relu = spec.activation == "relu"
     acts = [x]
-    for w, b in zip(weights, biases):
-        a = w.swapaxes(1, 2) @ acts[-1]
+    for w, b, (a, _, _) in zip(weights, biases, work):
+        np.matmul(w.swapaxes(1, 2), acts[-1], out=a)
         a += b
         if relu:
             np.maximum(a, 0.0, out=a)
@@ -380,21 +397,21 @@ def _loss_and_grads(spec: MlpSpec, weights, biases, head_w, head_b, x, y,
     g_head_w = z @ dlogits.swapaxes(1, 2) + 2.0 * weight_decay * head_w
     g_head_b = dlogits.sum(axis=2, keepdims=True) + 2.0 * weight_decay * head_b
 
-    dpre = head_w @ dlogits
+    dpre = np.matmul(head_w, dlogits, out=work[-1][2])
     g_w = [None] * len(weights)
     g_b = [None] * len(biases)
     for i in range(len(weights) - 1, -1, -1):
-        a_out = acts[i + 1]
+        a_out, slope, _ = work[i]
         if relu:
-            dpre *= a_out > 0.0
+            np.greater(a_out, 0.0, out=slope)
         else:
-            slope = a_out * a_out
+            np.multiply(a_out, a_out, out=slope)
             np.subtract(1.0, slope, out=slope)
-            dpre *= slope
+        dpre *= slope
         g_w[i] = acts[i] @ dpre.swapaxes(1, 2)
         g_b[i] = dpre.sum(axis=2, keepdims=True)
         if i:
-            dpre = weights[i] @ dpre
+            dpre = np.matmul(weights[i], dpre, out=work[i - 1][2])
     return loss, {"weights": g_w, "biases": g_b, "head_w": g_head_w, "head_b": g_head_b}
 
 
@@ -406,13 +423,14 @@ def train_stack(datasets, spec: MlpSpec, cfgs) -> list:
     and its own frozen head or none; every step is one forward/backward pass
     of ``_loss_and_grads`` and one update of the whole stack. Each epoch
     gathers every model's permuted inputs and labels once, into one reused
-    S x D x n buffer, and each minibatch is a slice of it. A model's
-    slice has the same shape and strides whatever the stack holds, and no op
-    mixes models, so the result is bitwise the one of training each model
-    alone with ``train``. All pairs must share n, epochs, batch size,
-    learning rate and weight decay. Raises NumericalError as soon as any
-    model's loss is not finite, or when the last update leaves a parameter
-    non-finite.
+    S x D x n buffer, and each minibatch is a slice of it. Every step
+    writes into one reused ``_workspace`` per batch width: the full batch
+    and a shorter last one. A model's slice has the same shape and strides
+    whatever the stack holds, and no op mixes models, so the result is
+    bitwise the one of training each model alone with ``train``. All pairs
+    must share n, epochs, batch size, learning rate and weight decay. Raises
+    NumericalError as soon as any model's loss is not finite, or when the
+    last update leaves a parameter non-finite.
     """
     if len(cfgs) == 0 or len(datasets) != len(cfgs):
         raise ConfigError("a training stack needs one dataset per config and at least one")
@@ -443,16 +461,20 @@ def train_stack(datasets, spec: MlpSpec, cfgs) -> list:
     lr = cfg.learning_rate
     x_epoch = np.empty((len(models), spec.d, n))
     y_epoch = np.empty((len(models), n), dtype=np.int64)
+    starts = range(0, n, cfg.batch_size)
+    works = {m: _workspace(spec, len(models), m)
+             for m in {min(cfg.batch_size, n - start) for start in starts}}
     for _ in range(cfg.epochs):
         for i, ((features, labels), rng) in enumerate(zip(datasets, rngs)):
             order = rng.permutation(n)
             np.take(features.data.T, order, axis=1, out=x_epoch[i])
             np.take(labels.labels, order, out=y_epoch[i])
-        for start in range(0, n, cfg.batch_size):
+        for start in starts:
             batch = slice(start, start + cfg.batch_size)
+            y_batch = y_epoch[:, batch]
             loss, grads = _loss_and_grads(spec, weights, biases, head_w, head_b,
-                                          x_epoch[..., batch], y_epoch[:, batch],
-                                          cfg.weight_decay)
+                                          x_epoch[..., batch], y_batch, cfg.weight_decay,
+                                          works[y_batch.shape[1]])
             if not np.isfinite(loss).all():
                 raise NumericalError("training diverged: non-finite loss")
             for w, g in zip(weights, grads["weights"]):

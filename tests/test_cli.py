@@ -9,6 +9,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,13 +29,29 @@ def _run(*argv):
     return main(list(argv))
 
 
-def _run_python(script, *args):
-    """Run ``script`` in a fresh interpreter that imports this oodkit."""
+def _run_python(script, *args, flags=()):
+    """Run ``script`` in a fresh interpreter, started with the interpreter
+    ``flags``, that imports this oodkit."""
     src = os.path.dirname(os.path.dirname(oodkit.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def _cli_rusage(*args):
+    """The resource usage of one CLI run with ``args``: ru_maxrss and
+    ru_minflt. A process's ru_maxrss starts from the peak of the one that
+    exec'd it, so the CLI runs under a small launcher, not under pytest."""
+    launcher = ("import resource, subprocess, sys; subprocess.run([sys.executable, '-c',"
+                " 'import sys; from oodkit.cli import main; sys.exit(main())',"
+                " *sys.argv[1:]], check=True);"
+                " usage = resource.getrusage(resource.RUSAGE_CHILDREN);"
+                " print(usage.ru_maxrss, usage.ru_minflt)")
+    proc = _run_python(launcher, *args)
+    assert proc.returncode == 0, proc.stderr
+    maxrss, minflt = map(int, proc.stdout.split())
+    return SimpleNamespace(ru_maxrss=maxrss, ru_minflt=minflt)
 
 
 def _write_cluster_features(path, seed=0, k=3, h=2, c1=1.5, c3=4.0, n=120):
@@ -159,19 +176,10 @@ class TestRegion:
         x = 2.0 * head.w[:, y].T + rng.standard_normal((y.size, head.h))
         save_features(tmp_path / "f.csv", FeatureMatrix(x), LabelVector(y, head.k))
         save_head(tmp_path / "head.csv", head)
-        # A process's ru_maxrss starts from the peak of the one that exec'd
-        # it, so the CLI runs under a small launcher, not under pytest.
-        launcher = ("import resource, subprocess, sys; subprocess.run([sys.executable, '-c',"
-                    " 'import sys; from oodkit.cli import main; sys.exit(main())',"
-                    " *sys.argv[1:]], check=True);"
-                    " print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
         args = ["region", "--kind", "linear", "--head", str(tmp_path / "head.csv"),
                 "--features", str(tmp_path / "f.csv"), "--outdir", str(tmp_path)]
-        peaks = []
-        for extra in ([], ["--mass-samples", "1000000"]):
-            proc = _run_python(launcher, *args, *extra)
-            assert proc.returncode == 0, proc.stderr
-            peaks.append(int(proc.stdout))
+        peaks = [_cli_rusage(*args, *extra).ru_maxrss
+                 for extra in ([], ["--mass-samples", "1000000"])]
         unit = 1 << (20 if sys.platform == "darwin" else 10)  # ru_maxrss bytes or KiB
         assert (peaks[1] - peaks[0]) / unit < 16, peaks
 
@@ -430,14 +438,17 @@ class TestExitCodes:
                                              seed=0)
         save_head(tmp_path / "head.csv", head)
         save_features(tmp_path / "f.csv", fm, lv)
-        proc = _run_python("import sys; from oodkit.cli import main; sys.exit(main())",
-                           "region", "--kind", "linear", "--outdir", str(tmp_path),
-                           "--head", str(tmp_path / "head.csv"),
-                           "--features", str(tmp_path / "f.csv"))
-        assert proc.returncode == EXIT_OK
-        assert len(proc.stderr.splitlines()) == 1
-        assert re.fullmatch(r"warning: u_star = -0\.\d+ >= -1/2: the far-field approximation "
-                            r"does not apply, so every slab is empty\n", proc.stderr)
+        # under -W error too: main's own filter, not the caller's, decides
+        for flags in ([], ["-W", "error"]):
+            proc = _run_python("import sys; from oodkit.cli import main; sys.exit(main())",
+                               "region", "--kind", "linear", "--outdir", str(tmp_path),
+                               "--head", str(tmp_path / "head.csv"),
+                               "--features", str(tmp_path / "f.csv"), flags=flags)
+            assert proc.returncode == EXIT_OK, (flags, proc.stderr)
+            assert len(proc.stderr.splitlines()) == 1
+            assert re.fullmatch(r"warning: u_star = -0\.\d+ >= -1/2: the far-field "
+                                r"approximation does not apply, so every slab is empty\n",
+                                proc.stderr)
         region = json.loads((tmp_path / "region.json").read_text())
         assert all(s["alpha_lo"] == s["alpha_hi"] == 0.0 for s in region["slabs"])
 
@@ -492,14 +503,12 @@ class TestExitCodes:
         region = json.loads((tmp_path / "out" / "region.json").read_text())
         assert 0.0 <= region["mc_mass"] <= 1.0
 
-    @pytest.mark.filterwarnings("default:u_star:UserWarning")
     def test_singular_class_linear_mass_is_counted(self, tmp_path, capsys):
         # the linear region's mass is drawn on the logits, with a ridge that
         # grows with their variance, so class 0's line is counted even
         # through a full-rank W
         self._line_class_linear_mass(tmp_path, capsys, "2.0,0.0\n0.0,1.0\n0,0\n")
 
-    @pytest.mark.filterwarnings("default:u_star:UserWarning")
     def test_class_singular_off_the_head_span_is_counted(self, tmp_path, capsys):
         # W has rank 1, so every class's logits are rank 1 too
         self._line_class_linear_mass(tmp_path, capsys, "1.0,-1.0\n0.5,-0.5\n0,0\n")
@@ -938,6 +947,16 @@ class TestSmallStudies:
         for row in cf["structures"].values():
             assert 0.0 <= row["auroc_mean"] <= 1.0
             assert len(row["accuracy_per_seed"]) == 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts glibc's page faults")
+    def test_counterfactual_steps_take_no_fresh_pages(self, tmp_path):
+        # 5 structures x 5 seeds train as one stack, whose 25 x 16 x 64
+        # activations (200 KiB) are above glibc's 128 KiB mmap threshold: a
+        # step that allocated them took about 48,000 more faults over 49 epochs
+        faults = [_cli_rusage("counterfactual", "--seeds", "0,1,2,3,4", "--epochs", epochs,
+                              "--outdir", str(tmp_path)).ru_minflt for epochs in ("1", "50")]
+        assert faults[1] - faults[0] < 5000, faults
 
     def test_depth_study_tiny_run(self, tmp_path):
         assert _run("depth-study", "--outdir", str(tmp_path),

@@ -265,7 +265,7 @@ class TestLogOdds:
 
 
 def _scalar_crossing(f, level, tol):
-    """The one-lane doubling and bisection that _first_crossing runs per lane."""
+    """The doubling and bisection that _first_crossing runs."""
     hi = 1.0
     while f(hi) > level:
         assert hi < 2.0 ** 60
@@ -337,29 +337,23 @@ class TestLockstepOffsets:
 
 
 class TestFirstCrossing:
-    # crossings of c / t at level 1 are t = c: 0, 0, 3, 20 and 52 doublings
-    C = np.array([0.3, 1.0, 5.0, 1e6, 3e15])
+    def test_matches_scalar_reference(self):
+        # crossings of c / t at level 1 are t = c: 0, 0, 3, 20 and 52 doublings
+        for c in (0.3, 1.0, 5.0, 1e6, 3e15):
+            t = geometry._first_crossing(lambda t: c / t, 1.0, 1e-12)
+            assert type(t) is float and t == _scalar_crossing(lambda t: c / t, 1.0, 1e-12)
+            np.testing.assert_allclose(t, c, rtol=1e-11)
 
-    def test_lanes_equal_one_lane_calls(self):
-        lanes = geometry._first_crossing(lambda t: self.C / t, np.ones(self.C.size), 1e-12)
-        assert lanes.shape == self.C.shape
-        for c, t in zip(self.C, lanes):
-            one = geometry._first_crossing(lambda t: c / t, np.ones(1), 1e-12)
-            assert one.tolist() == [t] == [_scalar_crossing(lambda t: c / t, 1.0, 1e-12)]
-        np.testing.assert_allclose(lanes, self.C, rtol=1e-11)
-
-    def test_a_lane_that_never_crosses_raises(self):
-        # lanes 0 and 1 cross at t = 0.5 and 2; lane 2 stays above the level
+    def test_never_crossing_raises(self):
         points = []
 
         def f(t):
             points.append(t)
-            return np.where([True, True, False], np.array([0.5, 2.0, 1.0]) / t, 2.0)
+            return 2.0
 
         with pytest.raises(NumericalError, match="60 bracket doublings"):
-            geometry._first_crossing(f, np.ones(3), 1e-12)
-        assert len(points) == 61
-        assert points[-1].tolist() == [1.0, 2.0, 2.0 ** 60]
+            geometry._first_crossing(f, 1.0, 1e-12)
+        assert points == [2.0 ** i for i in range(61)]
 
     def test_scalar_solves_return_floats(self):
         head, model, w1 = _k2_setup()

@@ -217,6 +217,25 @@ class TestTrainStack:
                             frozen_head=SoftmaxHead(rng.standard_normal((h, k)),
                                                     rng.standard_normal(k)) if f else None)
                 for f in frozen]
+        self._assert_each_model_alone(datasets, spec, cfgs)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_counterfactual_sized_stack_matches_each_model_alone(self, activation):
+        # the counterfactual's shape: 25 models of widths (2, 16, 2) on 600
+        # blob rows, 9 batches of 64 and a last one of 24, so both batch
+        # widths' workspaces; odd seeds train under a frozen optimal head
+        spec = MlpSpec((2, 16, 2), activation, 3)
+        datasets = [generate(_blob_task(seed=seed, n_per_class=200)) for seed in range(25)]
+        cfgs = [TrainConfig(epochs=2, batch_size=64, learning_rate=0.05, weight_decay=1e-4,
+                            seed=seed, frozen_head=gen_optimal_head(
+                                OptimalStructureSpec(k=3, h=2, c1=2.0), seed=seed)
+                            if seed % 2 else None)
+                for seed in range(25)]
+        self._assert_each_model_alone(datasets, spec, cfgs)
+
+    @staticmethod
+    def _assert_each_model_alone(datasets, spec, cfgs):
+        """Each model of the stack is bitwise the one ``train`` gives alone."""
         stacked = train_stack(datasets, spec, cfgs)
         for model, dataset, cfg in zip(stacked, datasets, cfgs):
             alone = train(dataset, spec, cfg)
