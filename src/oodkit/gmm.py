@@ -2,18 +2,24 @@
 log-density scoring.
 
 Responsibilities are computed in log space. Each Sigma_i = L_i L_i^T is
-factored once, and the whitening matrix [L_1^-T ... L_K^-T] is cached
-C-contiguous (a transposed view gives bits that depend on the row count).
-Fitted mixtures are immutable and safe to share.
+factored once, and the whitening is cached as one C-contiguous K' x H x H
+stack of L_i^-T with a K' x H shift mu_i L_i^-T (a transposed view gives
+bits that depend on the row count). Fitted mixtures are immutable and safe
+to share.
 
-``mahalanobis_sq`` (and all built on it) walks the rows in blocks of about
-``_BLOCK_BYTES`` per temporary (K'H wide for the whitened rows), so its
-scratch memory does not grow with N; only the N x K' output does. Each row's
-result does not depend on its block, so the outputs are bitwise those of one
-whole-batch pass, and a row's ``log_density`` equals its ``log_density_batch``
-entry. The EM moments (``_moments``) sum SYRK products over the same blocks
-in one buffer for all components, and the k-means distances (``_sq_dists``)
-are one N x C product, so EM holds no N x H temporary. ``sample_chunks``
+The Gaussian kernels walk the rows in ``_row_blocks``: ``mahalanobis_sq``
+(and all built on it) one ``np.matmul`` of a block with the stack, the EM
+means (``_moments``) one ``resp.T @ x`` per block, and the k-means distances
+(``_sq_dists``) one ``x @ C^T`` per block. A block holds about
+``_BLOCK_BYTES`` per temporary and each of its products at most
+``_BLOCK_MACS`` multiply-adds, few enough that OpenBLAS runs the product on
+the calling thread on the build whose thresholds the constant's comment gives.
+So their scratch memory does not grow with N, and they wake no second BLAS
+thread to spin beside them. Each row's Mahalanobis distance does not depend
+on its block, so the outputs are bitwise those of one whole-batch pass, and
+a row's ``log_density`` equals its ``log_density_batch`` entry. The EM
+covariances sum SYRK products over blocks of ``_BLOCK_BYTES`` in one buffer
+for all components, so EM holds no N x H temporary. ``sample_chunks``
 streams the Gaussian draws through one reused buffer in smaller pieces of
 about ``_PIECE_BYTES`` per temporary, so a Monte Carlo count holds
 O(piece x H) scratch memory for any n.
@@ -34,6 +40,23 @@ __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _BLOCK_BYTES = 1 << 20  # bytes per float64 temporary of a row block
+# Multiply-adds of one row block's BLAS product, rows x inner x outer. On one
+# build (numpy 2.4.6, OpenBLAS 0.3.31, 2 cores, SkylakeX kernel) a loop of
+# each product form in a fresh process read CPU/wall 1.0-1.1 up to the first
+# size below and 1.96-2.0 (a second thread) from the second:
+#   rows x 64 @ 64 x 64 (mahalanobis_sq)      244 rows, 999,424 | 245 rows
+#   (rows x 10).T @ rows x 64 (_moments)    1,562 rows, 999,680 | 1,600 rows
+#   rows x 64 @ 64 x 10 (_sq_dists)         1,561 rows, 999,040 | 1,600 rows
+#   rows x 64 @ (10 x 64).T, a view           819 rows, 524,160 | 820 rows
+#   rows x 64 @ 64 x 1, a GEMV (one centre) 7,199 rows, 460,736 | 7,200 rows
+# The first three take the small-matrix kernel up to 10^6 multiply-adds; the
+# transposed view never does, so _sq_dists multiplies by a C-contiguous C^T.
+# A GEMV (one centre or one weight column) stays within the byte rule's
+# 131,072. The covariances' SYRK ran on one thread at every row count from 64
+# to 20,000, and after a two-thread product the second thread's spin-wait
+# doubled its CPU time. OPENBLAS_CORETYPE=Haswell has no small-matrix kernel:
+# there a GEMM takes two threads from 2^19 and the SYRK at every size tried.
+_BLOCK_MACS = 10 ** 6
 # Bytes per float64 temporary of a sample_chunks piece: 1638 rows 10 wide.
 # Measured on one build (OpenBLAS 0.3.31, 2 cores), where 10-column products
 # took a second thread from 5243 rows on and its spin-wait between the
@@ -42,24 +65,30 @@ _BLOCK_BYTES = 1 << 20  # bytes per float64 temporary of a row block
 _PIECE_BYTES = 1 << 17
 
 
-def _block_rows(h: int, nbytes: int = _BLOCK_BYTES) -> int:
-    """Rows of an h-wide float64 temporary in nbytes, at least 2."""
-    return max(2, nbytes // (8 * h))
+def _block_rows(h: int, nbytes: int = _BLOCK_BYTES, macs: int = 0) -> int:
+    """Rows of an h-wide float64 temporary in nbytes, at least 2. Given
+    macs, the multiply-adds of a block's BLAS product per row, also few
+    enough that step + 1 rows stay within _BLOCK_MACS."""
+    step = nbytes // (8 * h)
+    if macs:
+        step = min(step, _BLOCK_MACS // macs - 1)
+    return max(2, step)
 
 
-def _row_blocks(n: int, h: int, nbytes: int = _BLOCK_BYTES):
+def _row_blocks(n: int, h: int, nbytes: int = _BLOCK_BYTES, macs: int = 0):
     """Slices that cover rows 0..n-1 in order: for n >= 1, ceil((n - 1) /
-    step) blocks (at least one) for step = _block_rows(h, nbytes), their
-    sizes within one row of each other. So a block has at most step + 1
-    rows, and only a 1-row input gives a 1-row block.
+    step) blocks (at least one) for step = _block_rows(h, nbytes, macs),
+    their sizes within one row of each other. So a block has at most
+    step + 1 rows, within both bounds but at the 2-row floor, and only a
+    1-row input gives a 1-row block.
 
     No block is much shorter than the others: a BLAS product on a few rows
     can take a small-matrix path whose bits differ from those of the same
-    rows in a larger product. Which rows counts take that path depends on
-    the BLAS build and the kernel it picks for the CPU; on OpenBLAS 0.3.31's
-    SkylakeX kernel, 64 x 10 products on fewer than about 1562 rows did.
+    rows in a larger product. Which row counts take that path depends on
+    the BLAS build and the kernel it picks for the CPU (``_BLOCK_MACS``
+    names those of one build).
     """
-    count = max(1, -(-(n - 1) // _block_rows(h, nbytes))) if n else 0
+    count = max(1, -(-(n - 1) // _block_rows(h, nbytes, macs))) if n else 0
     for i in range(count):
         yield slice(i * n // count, (i + 1) * n // count)
 
@@ -124,9 +153,8 @@ class GaussianMixture:
             self._chols.append(L)
             self._log_norms[i] = -0.5 * h * _LOG_2PI - np.log(np.diag(L)).sum()
         # L^T is triangular, so solve's LU is exact: back substitution.
-        inv_t = [np.linalg.solve(L.T, np.eye(h)) for L in self._chols]
-        self._whiten = np.hstack(inv_t)
-        self._shift = np.concatenate([mean @ w for mean, w in zip(means, inv_t)])
+        self._whiten = np.stack([np.linalg.solve(L.T, np.eye(h)) for L in self._chols])
+        self._shift = np.stack([mean @ w for mean, w in zip(means, self._whiten)])
 
     @property
     def k_components(self) -> int:
@@ -158,20 +186,21 @@ class GaussianMixture:
 
     def mahalanobis_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance of each row to every component,
-        one row block at a time."""
+        one row block at a time: |x L_i^-T - mu_i L_i^-T|^2 from one GEMM of
+        the block with each L_i^-T."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.h:
             raise DimensionError(f"expected H={self.h} columns, got {x.shape[1]}")
         out = np.empty((x.shape[0], self.k_components))
-        for rows in _row_blocks(x.shape[0], self._whiten.shape[1]):
+        for rows in _row_blocks(x.shape[0], self.k_components * self.h, macs=self.h * self.h):
             xb = self._maybe_log(x[rows])
             if xb.shape[0] == 1:
                 # A 1-row GEMM takes the GEMV path; 2 equal rows keep the bits.
                 xb = np.repeat(xb, 2, axis=0)
-            y = xb @ self._whiten
-            y -= self._shift
+            y = np.matmul(xb, self._whiten)  # K' x rows x H, one GEMM per component
+            y -= self._shift[:, None]
             y *= y
-            out[rows] = y.reshape(len(y), -1, self.h).sum(axis=2)[:rows.stop - rows.start]
+            out[rows] = y.sum(axis=2).T[:rows.stop - rows.start]
         return out
 
     def neg_log_density_grad(self, z) -> np.ndarray:
@@ -181,7 +210,7 @@ class GaussianMixture:
         log_joint, total = self._log_joint(z[None, :])
         resp = np.exp(log_joint - total)[0]
         y = self._maybe_log(z) @ self._whiten - self._shift
-        grad = self._whiten @ (np.repeat(resp, self.h) * y)
+        grad = np.einsum("kij,kj->i", self._whiten, resp[:, None] * y)
         if self.log_transform:
             grad = grad / z  # chain rule through the log transform
         return grad
@@ -271,9 +300,14 @@ class GaussianMixture:
 
 def _sq_dists(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance of each row to every centre (N x C) as |x|^2 (x_sq)
-    - 2 x @ C^T + |c|^2, one product with only N x C arrays, clipped at 0:
-    cancellation leaves small negatives, which ``rng.choice`` rejects."""
-    out = x_sq[:, None] - 2.0 * (x @ centers.T) + np.einsum("ch,ch->c", centers, centers)
+    - 2 x @ C^T + |c|^2, one product per row block with only N x C arrays,
+    clipped at 0: cancellation leaves small negatives, which ``rng.choice``
+    rejects."""
+    out = np.empty((len(x), len(centers)))
+    c_sq = np.einsum("ch,ch->c", centers, centers)
+    c_t = np.ascontiguousarray(centers.T)  # a transposed view misses the one-thread kernel
+    for rows in _row_blocks(len(x), x.shape[1], macs=centers.size):
+        out[rows] = x_sq[rows, None] - 2.0 * (x[rows] @ c_t) + c_sq
     return np.maximum(out, 0.0, out=out)
 
 
@@ -300,16 +334,20 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _moments(x: np.ndarray, resp: np.ndarray, reg: float):
-    """Masses nk, means resp.T @ x / nk and covariances sum_b d.T @ d / nk +
-    reg*I for each column k of the N x K' weights resp, every nk checked
-    before any division; d = sqrt(resp[b, k]) * (x[b] - mean_k) for each row
-    block b, in one reused buffer. numpy sends d.T @ d to SYRK, and a sum of
-    exactly symmetric blocks is exactly symmetric."""
+    """Masses nk, means sum_b resp[b].T @ x[b] / nk and covariances
+    sum_b d.T @ d / nk + reg*I for each column k of the N x K' weights resp,
+    every nk checked before any division; the means sum over one-thread row
+    blocks b, and d = sqrt(resp[b, k]) * (x[b] - mean_k) over blocks of
+    ``_BLOCK_BYTES`` in one reused buffer. numpy sends d.T @ d to SYRK, and
+    a sum of exactly symmetric blocks is exactly symmetric."""
     n, h = x.shape
     nk = resp.sum(axis=0)
     if not np.all(nk > 0):
         raise SingularModelError("component collapsed to zero responsibility")
-    means = resp.T @ x / nk[:, None]
+    means = np.zeros((len(nk), h))
+    for rows in _row_blocks(n, h, macs=len(nk) * h):
+        means += resp[rows].T @ x[rows]
+    means /= nk[:, None]
     covs = np.zeros((len(nk), h, h))
     buf = np.empty((min(n, _block_rows(h) + 1), h))
     for rows in _row_blocks(n, h):

@@ -7,8 +7,9 @@ from scipy.stats import multivariate_normal
 
 from oodkit.core import FeatureMatrix, LabelVector
 from oodkit.errors import ConfigError, DataFormatError, DimensionError, SingularModelError
-from oodkit.gmm import (_BLOCK_BYTES, EmConfig, GaussianMixture, _kmeans_pp_init, _moments,
-                        _row_blocks, _sq_dists, fit_em)
+from oodkit import gmm as gmm_mod
+from oodkit.gmm import (_BLOCK_MACS, EmConfig, GaussianMixture, _block_rows, _kmeans_pp_init,
+                        _moments, _row_blocks, _sq_dists, fit_em)
 
 
 def _two_blob_data(n_per=150, seed=0):
@@ -156,10 +157,6 @@ def _benchmark_features(seed, n=20_000, h=64, k=10):
     return 2.0 * w.T[y] + rng.standard_normal((y.size, h))
 
 
-def _block_rows(h):
-    return _BLOCK_BYTES // (8 * h)
-
-
 def _mahalanobis_sq_reference(gmm, x):
     """One triangular solve (scipy's trsm) per component over the whole
     batch, independent of the cached whitening matrix."""
@@ -181,15 +178,16 @@ class TestComponentLogDensities:
         log_transform = seed % 2 == 1
         means = rng.standard_normal((k, h)) + (3.0 if log_transform else 0.0)
         gmm = GaussianMixture(np.full(k, 1.0 / k), means, covs, log_transform=log_transform)
-        step = _block_rows(k * h)  # the blocks hold K whitened copies of each row
+        # the blocks hold K whitened copies of each row, one H x H GEMM each
+        step = _block_rows(k * h, macs=h * h)
         x = rng.standard_normal((max(500, 2 * step + 1), h)) * rng.uniform(0.1, 3.0)
         if log_transform:
             x = np.exp(x)
         whole = gmm.component_log_densities(x)
         expected = gmm._log_norms - 0.5 * _mahalanobis_sq_reference(gmm, x)
         np.testing.assert_allclose(whole, expected, rtol=4 * np.finfo(float).eps, atol=0)
-        # one row, one block, and two blocks (the second of step + 1 rows at 2 step + 1)
-        for n in (1, 2, 500, 2 * step, 2 * step + 1):
+        # one row, one block of step and of step + 1 rows, and two blocks
+        for n in (1, 2, step, step + 1, 2 * step + 1):
             np.testing.assert_array_equal(gmm.component_log_densities(x[:n]), whole[:n])
 
     def test_ill_conditioned_mixture_within_condition_bound(self):
@@ -244,6 +242,45 @@ class TestComponentLogDensities:
         for f in (gmm.component_log_densities, gmm.mahalanobis_sq, gmm.log_density_batch):
             with pytest.raises(DimensionError):
                 f(np.zeros((4, 3)))
+
+
+class TestOneThreadBlocks:
+    """Each BLAS product of a row block in the three blocked kernels stays
+    within _BLOCK_MACS multiply-adds, the size below which OpenBLAS ran it
+    on the calling thread (see the constant's comment)."""
+
+    @pytest.mark.parametrize("h", [2, 16, 64])
+    @pytest.mark.parametrize("k", [1, 2, 10, 40])
+    def test_block_products_stay_within_the_bound(self, monkeypatch, k, h):
+        calls = []
+
+        def recording_blocks(n, width, nbytes=gmm_mod._BLOCK_BYTES, macs=0):
+            blocks = list(_row_blocks(n, width, nbytes, macs))
+            if macs:  # the bounded product loops; the SYRK loop passes none
+                calls.append((n, blocks))
+            return iter(blocks)
+
+        monkeypatch.setattr(gmm_mod, "_row_blocks", recording_blocks)
+        rng = np.random.default_rng(k * h)
+        mixture = _random_mixture(k * h, k=k, h=h)
+        centers = rng.standard_normal((k, h))
+        # (multiply-adds per block row: inner x outer of the product, kernel)
+        kernels = [(h * h, mixture.mahalanobis_sq),  # rows x H @ H x H per component
+                   (k * h, lambda x: _moments(x, rng.random((len(x), k)) + 0.1, 0.0)),
+                   (k * h, lambda x: _sq_dists(x, np.einsum("nh,nh->n", x, x), centers))]
+        for per_row, kernel in kernels:
+            at_bound = min(_BLOCK_MACS // per_row, 20_000)  # rows of a product at the bound
+            for n in (1, 2, at_bound - 1, at_bound + 1, 20_000):
+                calls.clear()
+                kernel(rng.standard_normal((n, h)))
+                [(rows_n, blocks)] = calls
+                assert rows_n == n
+                assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+                assert max((rows.stop - rows.start) * per_row for rows in blocks) <= _BLOCK_MACS
+
+    def test_two_row_floor(self):
+        # a product too wide for 3 rows still gets blocks of 2 and 3 rows
+        assert [rows.stop - rows.start for rows in _row_blocks(5, 1, macs=_BLOCK_MACS)] == [2, 3]
 
 
 def _sample_reference(gmm, n, rng):
@@ -343,7 +380,7 @@ class TestKmeansInit:
 
     def test_matches_reference_over_several_blocks(self):
         rng = np.random.default_rng(6)
-        n = 2 * _block_rows(64) + 904  # two full blocks and a partial one
+        n = 2 * _block_rows(64, macs=5 * 64) + 904  # three blocks at every centre count
         x = rng.standard_normal((n, 64)) + 3.0 * rng.integers(0, 4, (n, 1))
         np.testing.assert_array_equal(
             _kmeans_pp_init(x, 5, np.random.default_rng(6)),
@@ -416,6 +453,19 @@ class TestMoments:
             np.testing.assert_allclose(covs[i], cov1, rtol=0, atol=tol * np.abs(cov1).max())
         for c in covs:
             assert np.array_equal(c, c.T)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_blocked_means_match_whole_batch_product(self, seed):
+        # The means sum resp[b].T @ x[b] over row blocks, so they round unlike
+        # the one whole-batch product resp.T @ x (at most 0.29 ulp of the
+        # magnitude sum resp.T @ |x| / nk on benchmark features, seeds 0, 3,
+        # 7 and 11); the bound is 2 ulps of it.
+        x = _benchmark_features(seed)
+        r = np.random.default_rng(seed).random((len(x), 10))
+        r /= r.sum(axis=1, keepdims=True)
+        nk, means, _ = _moments(x, r, 1e-5)
+        ulp = np.finfo(np.float64).eps * (r.T @ np.abs(x)) / nk[:, None]
+        np.testing.assert_array_less(np.abs(means - r.T @ x / nk[:, None]), 2 * ulp)
 
     def test_zero_mass_raises_before_dividing(self):
         x, r = self._data(k=3)
