@@ -2,17 +2,18 @@
 
 Covers the empirical uncertainty threshold, the exact two-class slab
 (solved through the Gaussian half-space mass equation), the general-K
-union-of-slabs linear approximation (the far-field contour in closed form
-from one log-odds quantile), the per-component density region, and a seeded
-Monte Carlo mass estimator used as the oracle for all of them (``region_mass``,
-on labelled features; the linear region's mass is drawn as K-wide logits).
+linear approximation (the margin set {l_(1) - l_(2) < tau}, the far-field
+contour in closed form from one log-odds quantile), the density region (one
+chi-square threshold for every component), and a seeded Monte Carlo mass
+estimator used as the oracle for all of them (``region_mass``, on labelled
+features; the linear region's mass is drawn as K-wide logits).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,10 +69,14 @@ class SlabRegion:
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=np.float64)
         a = np.asarray(self.anchor, dtype=np.float64)
+        if n.ndim != 1 or a.shape != n.shape:
+            raise ConfigError("slab normal and anchor must be vectors of one length")
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(a))):
+            raise ConfigError("slab normal and anchor must be finite")
         if np.linalg.norm(n) == 0.0:
             raise ConfigError("slab normal must be nonzero")
-        if self.alpha_lo < 0 or self.alpha_hi < 0:
-            raise ConfigError("slab offsets must be nonnegative")
+        if not (0.0 <= self.alpha_lo < math.inf and 0.0 <= self.alpha_hi < math.inf):
+            raise ConfigError("slab offsets must be finite and nonnegative")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "anchor", a)
 
@@ -154,36 +159,35 @@ def solve_alpha_exact_k2(mixture: GaussianMixture, head: SoftmaxHead,
 
 @dataclass(frozen=True)
 class LinearApproxRegion:
-    """Union over class pairs of (slab around that pair's boundary)
-    intersected with the two classes' argmax cells.
+    """The margin set {l_(1) - l_(2) < tau}: rows whose two largest logits
+    l = zW + b lie less than tau apart. ``slabs``, derived from tau, gives
+    each pair i < j the slab |l_i - l_j| < tau; masked by the argmax cells,
+    their union is the margin set.
     """
 
     head: SoftmaxHead
-    slabs: dict  # (i, j) with i < j -> SlabRegion with normal w_i - w_j
+    tau: float
     u_star: float
     epsilon: float
+    slabs: dict = field(init=False)  # (i, j) with i < j -> SlabRegion
 
     def __post_init__(self):
-        # Slab (i, j) is lo < n.z < hi for n = w_i - w_j, so a row whose
-        # argmax class is a meets slab (a, j) iff lo[a, j] < zw_a - zw_j <
-        # hi[a, j]. The reversed pair bounds -n.z, so its bounds swap and
-        # flip sign. Pairs without a slab keep lo = hi = 0, which no
-        # difference lies strictly between.
-        lo = np.zeros((self.head.k, self.head.k))
-        hi = np.zeros((self.head.k, self.head.k))
-        for (i, j), slab in self.slabs.items():
-            if not np.array_equal(slab.normal, self.head.w[:, i] - self.head.w[:, j]):
-                raise ConfigError(f"slab ({i}, {j}) normal is not w_{i} - w_{j}")
-            nsq = float(slab.normal @ slab.normal)
-            c = float(slab.normal @ slab.anchor)
-            lo[i, j] = c - slab.alpha_lo * nsq
-            hi[i, j] = c + slab.alpha_hi * nsq
-            lo[j, i], hi[j, i] = -hi[i, j], -lo[i, j]
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
+        if not 0.0 <= self.tau < math.inf:
+            raise ConfigError("tau must be finite and nonnegative")
+        slabs = {}
+        for i in range(self.head.k):
+            for j in range(i + 1, self.head.k):
+                n = self.head.w[:, i] - self.head.w[:, j]
+                nsq = float(n @ n)
+                if nsq <= 1e-24:
+                    raise ConfigError(f"degenerate class pair ({i}, {j}): w_i = w_j")
+                # the boundary point nearest the origin
+                z0 = -float(self.head.b[i] - self.head.b[j]) / nsq * n
+                slabs[(i, j)] = SlabRegion(n, z0, self.tau / nsq, self.tau / nsq)
+        object.__setattr__(self, "slabs", slabs)
 
     def contains(self, z: np.ndarray) -> np.ndarray:
-        """Rows inside a slab of a pair that holds their argmax class.
+        """Rows whose two largest logits lie less than tau apart.
 
         The logits come from ``_logits_rows``, whose rows do not depend on
         the batch split, so neither does a row's answer; a BLAS z @ W gives
@@ -193,14 +197,10 @@ class LinearApproxRegion:
         return self._member(_logits_rows(self.head, z))
 
     def _member(self, zw: np.ndarray) -> np.ndarray:
-        """Membership of rows from their bias-free logits zw = z.W.
-
-        One zw serves the argmax and every slab: n.z = zw_i - zw_j. A NaN
-        row fails every comparison and stays outside.
-        """
-        argmax = np.argmax(zw + self.head.b, axis=1)
-        d = np.take_along_axis(zw, argmax[:, None], axis=1) - zw
-        return ((self._lo[argmax] < d) & (d < self._hi[argmax])).any(axis=1)
+        """Membership of rows from their bias-free logits zw = z.W. A NaN
+        row fails the comparison and stays outside."""
+        top = np.partition(zw + self.head.b, -2, axis=1)
+        return top[:, -1] - top[:, -2] < self.tau
 
     def to_dict(self) -> dict:
         return {
@@ -247,61 +247,48 @@ def _log_odds(ell: np.ndarray) -> np.ndarray:
 
 def fit_linear_region(head: SoftmaxHead, train_features: FeatureMatrix,
                       epsilon: float) -> LinearApproxRegion:
-    """Slabs |n.z + b_i - b_j| < tau, n = w_i - w_j, around every pair's
-    boundary. Far out on it only l_i and l_j matter, so the u_max = u_star
-    contour lies at |l_i - l_j| = tau = max(0, -t_star), t_star the
-    (1 - epsilon) quantile of the training rows' ``_log_odds``. Masked by the
-    argmax cells, the slabs are the margin set {l_(1) - l_(2) < tau}, inside
-    {t > t_star}: every member exceeds u_star, on any head. u_star is bitwise
-    the quantile of ``score``'s ``u_max`` column. t_star >= 0 (u_star >= -1/2)
-    warns that the far-field approximation does not apply and leaves every
-    slab empty; overflowing training logits raise NumericalError.
+    """The margin set {l_(1) - l_(2) < tau}, tau = max(0, -t_star), t_star
+    the (1 - epsilon) quantile of the training rows' ``_log_odds``. Far out
+    on the boundary of a pair only l_i and l_j matter, so the u_max = u_star
+    contour lies at |l_i - l_j| = tau. The set lies inside {t > t_star}:
+    every member exceeds u_star, on any head. u_star is bitwise the quantile
+    of ``score``'s ``u_max`` column. t_star >= 0 (u_star >= -1/2) warns that
+    the far-field approximation does not apply and leaves the region empty;
+    overflowing training logits raise NumericalError.
     """
     ell = _logits_rows(head, train_features.data) + head.b
     if not np.all(np.isfinite(ell)):
         raise NumericalError("training logits are not finite")
     u_star = empirical_threshold(-softmax_from_logits(ell).max(axis=1), epsilon)
     t_star = empirical_threshold(_log_odds(ell), epsilon)
-    tau = max(0.0, -t_star)
-    slabs = {}
-    for i in range(head.k):
-        for j in range(i + 1, head.k):
-            n = head.w[:, i] - head.w[:, j]
-            nsq = float(n @ n)
-            if nsq <= 1e-24:
-                raise ConfigError(f"degenerate class pair ({i}, {j}): w_i = w_j")
-            # Boundary point: n.z + (b_i - b_j) = 0, nearest to origin.
-            z0 = -float(head.b[i] - head.b[j]) / nsq * n
-            slabs[(i, j)] = SlabRegion(n, z0, tau / nsq, tau / nsq)
+    region = LinearApproxRegion(head=head, tau=max(0.0, -t_star), u_star=u_star,
+                                epsilon=epsilon)
     if t_star >= 0.0:
         warnings.warn(f"u_star = {u_star:.6g} >= -1/2: the far-field approximation "
                       "does not apply, so every slab is empty", stacklevel=2)
-    return LinearApproxRegion(head=head, slabs=slabs, u_star=u_star, epsilon=epsilon)
+    return region
 
 
 @dataclass(frozen=True)
 class DensityRegion:
-    """Outside-every-cluster region: Mahalanobis^2 to component i exceeds
-    c_i for ALL components.
+    """Outside-every-cluster region: the Mahalanobis^2 distance to every
+    component exceeds the one threshold c.
     """
 
     gmm: GaussianMixture
-    thresholds: np.ndarray
+    threshold: float
     epsilon: float
 
     def __post_init__(self):
-        t = np.asarray(self.thresholds, dtype=np.float64)
-        if np.any(t <= 0):
-            raise ConfigError("density-region thresholds must be positive")
-        object.__setattr__(self, "thresholds", t)
+        if not 0.0 < self.threshold < math.inf:
+            raise ConfigError("the density-region threshold must be finite and positive")
 
     def contains(self, z: np.ndarray) -> np.ndarray:
-        d2 = self.gmm.mahalanobis_sq(z)
-        return np.all(d2 > self.thresholds, axis=1)
+        return self.gmm.mahalanobis_sq(z).min(axis=1) > self.threshold
 
     def to_dict(self) -> dict:
         return {"type": "density", "epsilon": self.epsilon,
-                "thresholds": self.thresholds.tolist()}
+                "thresholds": [self.threshold] * self.gmm.k_components}
 
 
 def _chi2_sf(x: float, h: int) -> float:
@@ -314,7 +301,7 @@ def _chi2_sf(x: float, h: int) -> float:
 
 
 def density_region(gmm: GaussianMixture, epsilon: float) -> DensityRegion:
-    """Per-component chi-square thresholds at level 1 - epsilon.
+    """The chi-square (1 - epsilon)-quantile as every component's threshold.
 
     This is a per-component proxy for the mixture-level epsilon mass
     condition; measure the discrepancy with mc_region_mass.
@@ -323,8 +310,7 @@ def density_region(gmm: GaussianMixture, epsilon: float) -> DensityRegion:
         raise ConfigError("epsilon must lie in (0, 1)")
     # The chi-square (1 - epsilon)-quantile, bisected down to adjacent floats.
     c = _first_crossing(lambda x: _chi2_sf(x, gmm.h), epsilon, np.finfo(float).eps)
-    return DensityRegion(gmm=gmm, thresholds=np.full(gmm.k_components, c),
-                         epsilon=epsilon)
+    return DensityRegion(gmm=gmm, threshold=c, epsilon=epsilon)
 
 
 def mc_region_mass(contains, sampler: GaussianMixture, n: int, seed: int) -> float:

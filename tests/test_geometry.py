@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,12 @@ class TestSlabRegion:
         with pytest.raises(ConfigError):
             SlabRegion(normal=np.ones(2), anchor=np.zeros(2),
                        alpha_lo=-0.1, alpha_hi=0.1)
+        # a NaN offset, a NaN normal, an anchor of another length
+        for normal, anchor, alpha_lo in [(np.ones(2), np.zeros(2), np.nan),
+                                         (np.array([1.0, np.nan]), np.zeros(2), 0.1),
+                                         (np.ones(2), np.zeros(3), 0.1)]:
+            with pytest.raises(ConfigError):
+                SlabRegion(normal=normal, anchor=anchor, alpha_lo=alpha_lo, alpha_hi=0.1)
 
 
 def _k2_setup(sep=4.0, sigma=0.8, bias=0.0):
@@ -187,6 +194,46 @@ class TestLinearRegion:
         in_tight = tight.contains(pts)
         in_loose = loose.contains(pts)
         assert not np.any(in_tight & ~in_loose)
+
+    @pytest.mark.parametrize("tau", [np.nan, -1.0, np.inf])
+    def test_tau_must_be_finite_and_nonnegative(self, tau):
+        head = gen_optimal_head(OptimalStructureSpec(k=3, h=2))
+        with pytest.raises(ConfigError):
+            LinearApproxRegion(head=head, tau=tau, u_star=-0.9, epsilon=0.05)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.3])
+    @pytest.mark.parametrize("case", ["eq3", "eq5", "eq10", "sandwich", "stack", "lopsided",
+                                      "random", "random-1e3"])
+    def test_members_exceed_t_star_exactly(self, case, eps):
+        # A member has l_(1) - l_(2) < tau = -t_star, and its log-odds t is
+        # at least l_(2) - l_(1), rounded the same way, so t > t_star holds
+        # with no tolerance. t_star >= 0 (sandwich and stack at 0.05) warns
+        # and leaves the region empty.
+        shapes = {"eq3": (2, 3, True, 1.0), "eq5": (8, 5, True, 1.0),
+                  "eq10": (64, 10, True, 1.0), "random": (16, 6, False, 1.0),
+                  "random-1e3": (16, 6, False, 1e3)}
+        if case in shapes:
+            h, k, equiangular, scale = shapes[case]
+            fitted, x, labels = _span_case(h, k, equiangular, scale=scale)
+            head = fitted.head
+        else:
+            head = gen_counterfactual_head(case)
+            x, labels = _gaussian_features(head, 0, 2000)
+        t_star = empirical_threshold(
+            geometry._log_odds(_logits_rows(head, x.data) + head.b), eps)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            region = fit_linear_region(head, x, eps)
+        assert len(caught) == (t_star >= 0.0)
+        assert region.tau == max(0.0, -t_star)
+        members = 0
+        rng = np.random.default_rng(1)
+        for z in _class_gaussians(x.data, labels).sample_chunks(200_000, rng):
+            inside = region.contains(z)
+            t = geometry._log_odds(_logits_rows(head, z) + head.b)
+            assert np.all(t[inside] > t_star)
+            members += int(inside.sum())
+        assert (members > 0) == (t_star < 0.0)
 
     def test_degenerate_pair_rejected(self):
         w = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -487,16 +534,6 @@ class TestLinearMembership:
         assert {1, 2, 777, 2048} <= {b - a for a, b in zip(cuts, cuts[1:])}
         np.testing.assert_array_equal(np.concatenate(pieces), region.contains(z))
 
-    def test_slab_normal_must_be_the_class_difference(self):
-        region, _, _ = self._h2_k3()
-        slabs = dict(region.slabs)
-        s = slabs[(0, 1)]
-        slabs[(0, 1)] = SlabRegion(normal=-s.normal, anchor=s.anchor,
-                                   alpha_lo=s.alpha_hi, alpha_hi=s.alpha_lo)
-        with pytest.raises(ConfigError):
-            LinearApproxRegion(head=region.head, slabs=slabs, u_star=region.u_star,
-                               epsilon=region.epsilon)
-
 
 class TestDensityRegion:
     def test_single_component_mass_is_epsilon(self):
@@ -512,7 +549,7 @@ class TestDensityRegion:
     def test_threshold_is_chi2_quantile(self, h, eps):
         gmm = GaussianMixture([0.5, 0.5], np.zeros((2, h)), [np.eye(h), np.eye(h)])
         region = density_region(gmm, eps)
-        np.testing.assert_allclose(region.thresholds, chi2.isf(eps, df=h), rtol=1e-12)
+        np.testing.assert_allclose(region.threshold, chi2.isf(eps, df=h), rtol=1e-12)
 
     def test_far_points_are_members(self):
         gmm = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
@@ -522,8 +559,9 @@ class TestDensityRegion:
 
     def test_threshold_validation(self):
         gmm = GaussianMixture([1.0], [[0.0]], [np.eye(1)])
-        with pytest.raises(ConfigError):
-            DensityRegion(gmm=gmm, thresholds=np.array([-1.0]), epsilon=0.1)
+        for c in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                DensityRegion(gmm=gmm, threshold=c, epsilon=0.1)
         with pytest.raises(ConfigError):
             density_region(gmm, 1.2)
 
