@@ -3,26 +3,25 @@ log-density scoring.
 
 Responsibilities are computed in log space. Each Sigma_i = L_i L_i^T is
 factored once, and the whitening is cached as one C-contiguous K' x H x H
-stack of L_i^-T with a K' x H shift mu_i L_i^-T (a transposed view gives
-bits that depend on the row count). Fitted mixtures are immutable and safe
-to share.
+stack of L_i^-T with a K' x H shift mu_i L_i^-T, next to a C-contiguous
+stack of L_i^T for the sampler. Fitted mixtures are immutable and safe to
+share.
 
 The Gaussian kernels walk the rows in ``_row_blocks``: ``mahalanobis_sq``
-(and all built on it) one ``np.matmul`` of a block with the stack, the EM
-means (``_moments``) one ``resp.T @ x`` per block, and the k-means distances
-(``_sq_dists``) one ``x @ C^T`` per block. A block holds about
-``_BLOCK_BYTES`` per temporary and each of its products at most
-``_BLOCK_MACS`` multiply-adds, few enough that OpenBLAS runs the product on
-the calling thread on the build whose thresholds the constant's comment gives.
-So their scratch memory does not grow with N, and they wake no second BLAS
-thread to spin beside them. Each row's Mahalanobis distance does not depend
-on its block, so the outputs are bitwise those of one whole-batch pass, and
-a row's ``log_density`` equals its ``log_density_batch`` entry. The EM
+(and all built on it) one ``np.matmul`` of a block with the whitening stack,
+``_sq_dists`` (the k-means distances) one ``x @ C^T`` per block,
+``sample_chunks`` one ``N(0, I) @ L^T`` per block, and the EM means
+(``_moments``) one ``resp.T @ x`` per block. A block is a multiple of 8 rows
+that holds about ``_BLOCK_BYTES`` per temporary and keeps each product within
+``_BLOCK_MACS`` multiply-adds, so the kernels' scratch memory does not grow
+with N and each product runs on the calling BLAS thread. The row-wise
+products follow one rule: a C-contiguous right operand, and each block
+zero-padded to a multiple of 8 rows (``_padded``). Then a row's bits depend
+neither on where a batch is split nor on the block size (within
+``_BLOCK_MACS``), so the outputs are bitwise those of one whole-batch pass,
+and a row's ``log_density`` equals its ``log_density_batch`` entry. The EM
 covariances sum SYRK products over blocks of ``_BLOCK_BYTES`` in one buffer
-for all components, so EM holds no N x H temporary. ``sample_chunks``
-streams the Gaussian draws through one reused buffer in smaller pieces of
-about ``_PIECE_BYTES`` per temporary, so a Monte Carlo count holds
-O(piece x H) scratch memory for any n.
+for all components, so EM holds no N x H temporary.
 """
 
 from __future__ import annotations
@@ -40,57 +39,32 @@ __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _BLOCK_BYTES = 1 << 20  # bytes per float64 temporary of a row block
-# Multiply-adds of one row block's BLAS product, rows x inner x outer. On one
-# build (numpy 2.4.6, OpenBLAS 0.3.31, 2 cores, SkylakeX kernel) a loop of
-# each product form in a fresh process read CPU/wall 1.0-1.1 up to the first
-# size below and 1.96-2.0 (a second thread) from the second:
-#   rows x 64 @ 64 x 64 (mahalanobis_sq)      244 rows, 999,424 | 245 rows
-#   (rows x 10).T @ rows x 64 (_moments)    1,562 rows, 999,680 | 1,600 rows
-#   rows x 64 @ 64 x 10 (_sq_dists)         1,561 rows, 999,040 | 1,600 rows
-#   rows x 64 @ (10 x 64).T, a view           819 rows, 524,160 | 820 rows
-#   rows x 64 @ 64 x 1, a GEMV (one centre) 7,199 rows, 460,736 | 7,200 rows
-# The first three take the small-matrix kernel up to 10^6 multiply-adds; the
-# transposed view never does, so _sq_dists multiplies by a C-contiguous C^T.
-# A GEMV (one centre or one weight column) stays within the byte rule's
-# 131,072. The covariances' SYRK ran on one thread at every row count from 64
-# to 20,000, and after a two-thread product the second thread's spin-wait
-# doubled its CPU time. OPENBLAS_CORETYPE=Haswell has no small-matrix kernel:
-# there a GEMM takes two threads from 2^19 and the SYRK at every size tried.
+# Multiply-adds of one row block's BLAS product, rows x inner x outer: few
+# enough that OpenBLAS keeps the product on the calling thread.
 _BLOCK_MACS = 10 ** 6
-# Bytes per float64 temporary of a sample_chunks piece: 1638 rows 10 wide.
-# Measured on one build (OpenBLAS 0.3.31, 2 cores), where 10-column products
-# took a second thread from 5243 rows on and its spin-wait between the
-# pieces' products about doubled a Monte Carlo count's CPU time; 64-column
-# products took two threads from 128 rows on, so 64-wide pieces still do.
-_PIECE_BYTES = 1 << 17
 
 
-def _block_rows(h: int, nbytes: int = _BLOCK_BYTES, macs: int = 0) -> int:
-    """Rows of an h-wide float64 temporary in nbytes, at least 2. Given
-    macs, the multiply-adds of a block's BLAS product per row, also few
-    enough that step + 1 rows stay within _BLOCK_MACS."""
-    step = nbytes // (8 * h)
+def _block_rows(h: int, macs: int = 0) -> int:
+    """Rows of a block: a multiple of 8, at least 8, with an h-wide float64
+    temporary within _BLOCK_BYTES and, given macs (the multiply-adds of the
+    block's BLAS product per row), the product within _BLOCK_MACS."""
+    step = _BLOCK_BYTES // (8 * h)
     if macs:
-        step = min(step, _BLOCK_MACS // macs - 1)
-    return max(2, step)
+        step = min(step, _BLOCK_MACS // macs)
+    return max(8, step - step % 8)
 
 
-def _row_blocks(n: int, h: int, nbytes: int = _BLOCK_BYTES, macs: int = 0):
-    """Slices that cover rows 0..n-1 in order: for n >= 1, ceil((n - 1) /
-    step) blocks (at least one) for step = _block_rows(h, nbytes, macs),
-    their sizes within one row of each other. So a block has at most
-    step + 1 rows, within both bounds but at the 2-row floor, and only a
-    1-row input gives a 1-row block.
+def _row_blocks(n: int, h: int, macs: int = 0):
+    """Slices that cover rows 0..n-1 in order, each of _block_rows(h, macs)
+    rows but the shorter last one."""
+    step = _block_rows(h, macs)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
-    No block is much shorter than the others: a BLAS product on a few rows
-    can take a small-matrix path whose bits differ from those of the same
-    rows in a larger product. Which row counts take that path depends on
-    the BLAS build and the kernel it picks for the CPU (``_BLOCK_MACS``
-    names those of one build).
-    """
-    count = max(1, -(-(n - 1) // _block_rows(h, nbytes, macs))) if n else 0
-    for i in range(count):
-        yield slice(i * n // count, (i + 1) * n // count)
+
+def _padded(block: np.ndarray) -> np.ndarray:
+    """block with zero rows appended up to a multiple of 8 rows."""
+    pad = -len(block) % 8
+    return np.concatenate((block, np.zeros((pad, block.shape[1])))) if pad else block
 
 
 @dataclass(frozen=True)
@@ -143,17 +117,15 @@ class GaussianMixture:
         self.covariances = covariances
         self.reg = float(reg)
         self.log_transform = bool(log_transform)
-        self._chols = []
-        self._log_norms = np.empty(k)
+        self._chol_t = np.empty((k, h, h))
         for i in range(k):
             try:
-                L = np.linalg.cholesky(covariances[i])
+                self._chol_t[i] = np.linalg.cholesky(covariances[i]).T
             except np.linalg.LinAlgError as e:
                 raise SingularModelError(f"component {i} covariance not PD") from e
-            self._chols.append(L)
-            self._log_norms[i] = -0.5 * h * _LOG_2PI - np.log(np.diag(L)).sum()
+        self._log_norms = -0.5 * h * _LOG_2PI - np.log(self._chol_t.diagonal(0, 1, 2)).sum(axis=1)
         # L^T is triangular, so solve's LU is exact: back substitution.
-        self._whiten = np.stack([np.linalg.solve(L.T, np.eye(h)) for L in self._chols])
+        self._whiten = np.linalg.solve(self._chol_t, np.eye(h))
         self._shift = np.stack([mean @ w for mean, w in zip(means, self._whiten)])
 
     @property
@@ -164,19 +136,19 @@ class GaussianMixture:
     def h(self) -> int:
         return self.means.shape[1]
 
-    def _maybe_log(self, x: np.ndarray) -> np.ndarray:
-        return np.log(x) if self.log_transform else x
-
     def component_log_densities(self, x: np.ndarray) -> np.ndarray:
         """Per-component log N(x; mu_i, Sigma_i) for an N x H batch."""
         return self._log_norms - 0.5 * self.mahalanobis_sq(x)
 
     def _log_joint(self, x: np.ndarray):
         """log(pi_i N(x; mu_i, Sigma_i)) per row and component (N x K'), and
-        its log-sum-exp over the components, the log density (N x 1)."""
+        its log-sum-exp over the components, the log density (N x 1): -inf
+        on a row whose every component is -inf."""
         log_joint = self.component_log_densities(x) + np.log(self.weights)
-        m = log_joint.max(axis=1, keepdims=True)
-        return log_joint, m + np.log(np.exp(log_joint - m).sum(axis=1, keepdims=True))
+        # a finite m for a row of density 0, whose exp sum is 0 and its log -inf
+        m = np.maximum(log_joint.max(axis=1, keepdims=True), np.finfo(np.float64).min)
+        with np.errstate(divide="ignore"):
+            return log_joint, m + np.log(np.exp(log_joint - m).sum(axis=1, keepdims=True))
 
     def log_density_batch(self, x: np.ndarray) -> np.ndarray:
         return self._log_joint(x)[1].ravel()
@@ -187,20 +159,21 @@ class GaussianMixture:
     def mahalanobis_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance of each row to every component,
         one row block at a time: |x L_i^-T - mu_i L_i^-T|^2 from one GEMM of
-        the block with each L_i^-T."""
+        the padded block with each L_i^-T. Under ``log_transform`` a row with
+        an entry <= 0 has density 0, so +inf distance to every component."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.h:
             raise DimensionError(f"expected H={self.h} columns, got {x.shape[1]}")
         out = np.empty((x.shape[0], self.k_components))
         for rows in _row_blocks(x.shape[0], self.k_components * self.h, macs=self.h * self.h):
-            xb = self._maybe_log(x[rows])
-            if xb.shape[0] == 1:
-                # A 1-row GEMM takes the GEMV path; 2 equal rows keep the bits.
-                xb = np.repeat(xb, 2, axis=0)
-            y = np.matmul(xb, self._whiten)  # K' x rows x H, one GEMM per component
+            xb, off = x[rows], False
+            if self.log_transform:
+                off = np.any(xb <= 0, axis=1, keepdims=True)
+                xb = np.log(np.where(off, 1.0, xb))
+            y = np.matmul(_padded(xb), self._whiten)  # K' x rows x H, one GEMM per component
             y -= self._shift[:, None]
             y *= y
-            out[rows] = y.sum(axis=2).T[:rows.stop - rows.start]
+            out[rows] = np.where(off, np.inf, y.sum(axis=2).T[:len(xb)])
         return out
 
     def neg_log_density_grad(self, z) -> np.ndarray:
@@ -209,7 +182,7 @@ class GaussianMixture:
         z = np.asarray(z, dtype=np.float64)
         log_joint, total = self._log_joint(z[None, :])
         resp = np.exp(log_joint - total)[0]
-        y = self._maybe_log(z) @ self._whiten - self._shift
+        y = (np.log(z) if self.log_transform else z) @ self._whiten - self._shift
         grad = np.einsum("kij,kj->i", self._whiten, resp[:, None] * y)
         if self.log_transform:
             grad = grad / z  # chain rule through the log transform
@@ -221,29 +194,24 @@ class GaussianMixture:
 
         The stream of ``rng.multivariate_normal(method="cholesky")`` per
         component: multinomial counts, then mean + N(0, I) @ L^T for each
-        component in ``_row_blocks`` of about ``_PIECE_BYTES`` per temporary,
-        small enough that a product of few columns runs on one BLAS thread.
-        L is the cached ``np.linalg.cholesky`` factor, the one that call
-        uses. No piece is much shorter than the others of its component, so
-        that each piece's product has the bits of that call's
-        whole-component product. BLAS does not promise this: it held for
-        every count tried on OpenBLAS 0.3.31's SkylakeX kernel, and a BLAS
-        that picks another kernel for some piece shapes can leave the stream
-        by an ulp on those rows
-        (``test_matches_stream_when_a_component_spans_pieces`` and
-        ``test_matches_multivariate_normal_stream`` then fail). The pieces
+        component in ``_row_blocks`` of H x H multiply-adds per row, with L
+        the cached ``np.linalg.cholesky`` factor that call uses. Each piece's
+        product follows the module's rule (a C-contiguous L^T and the piece
+        zero-padded to a multiple of 8 rows), which numpy's product with the
+        view ``L.T`` does not. So the draws are bitwise independent of the
+        piece size, and they lie within the rounding bound of a dot product
+        of H terms of that call's draws rather than equal to them. The pieces
         come in component order, each a view of one reused buffer that the
-        next piece overwrites; only a 1-draw component gives a 1-row piece.
+        next piece overwrites.
         """
         counts = rng.multinomial(n, self.weights)
-        rows = min(int(counts.max(initial=0)), _block_rows(self.h, _PIECE_BYTES) + 1)
-        normals = np.empty((rows, self.h))
-        draws = np.empty((rows, self.h))
+        normals, draws = np.empty((2, _block_rows(self.h, macs=self.h * self.h), self.h))
         for i, c in enumerate(counts):
-            for block in _row_blocks(c, self.h, _PIECE_BYTES):
+            for block in _row_blocks(c, self.h, macs=self.h * self.h):
                 m = block.stop - block.start
                 rng.standard_normal(out=normals[:m])
-                piece = np.matmul(normals[:m], self._chols[i].T, out=draws[:m])
+                z = _padded(normals[:m])
+                piece = np.matmul(z, self._chol_t[i], out=draws[:len(z)])[:m]
                 piece += self.means[i]
                 yield np.exp(piece, out=piece) if self.log_transform else piece
 
@@ -305,9 +273,10 @@ def _sq_dists(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarra
     rejects."""
     out = np.empty((len(x), len(centers)))
     c_sq = np.einsum("ch,ch->c", centers, centers)
-    c_t = np.ascontiguousarray(centers.T)  # a transposed view misses the one-thread kernel
+    c_t = np.ascontiguousarray(centers.T)
     for rows in _row_blocks(len(x), x.shape[1], macs=centers.size):
-        out[rows] = x_sq[rows, None] - 2.0 * (x[rows] @ c_t) + c_sq
+        xc = _padded(x[rows]) @ c_t
+        out[rows] = x_sq[rows, None] - 2.0 * xc[:rows.stop - rows.start] + c_sq
     return np.maximum(out, 0.0, out=out)
 
 
@@ -349,7 +318,7 @@ def _moments(x: np.ndarray, resp: np.ndarray, reg: float):
         means += resp[rows].T @ x[rows]
     means /= nk[:, None]
     covs = np.zeros((len(nk), h, h))
-    buf = np.empty((min(n, _block_rows(h) + 1), h))
+    buf = np.empty((min(n, _block_rows(h)), h))
     for rows in _row_blocks(n, h):
         d = buf[:rows.stop - rows.start]
         scale = np.sqrt(resp[rows])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oodkit
 from oodkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, VERBS, main
 from oodkit.core import FeatureMatrix, LabelVector, save_features, save_head
-from oodkit.gmm import GaussianMixture
+from oodkit.gmm import EmConfig, GaussianMixture, fit_em
 from oodkit.metrics import attribute
 from oodkit.refnet import MlpModel, MlpSpec
 from oodkit.structure import OptimalStructureSpec, gen_optimal_head, synthesize_cluster_features
@@ -843,13 +843,16 @@ class TestNumpyOnly:
 
 
 class TestReproducibility:
-    def test_linear_mass_ignores_blas_threads(self, tmp_path, monkeypatch):
-        # two batches of K = 10 logit draws, with OpenBLAS on one thread and
-        # on its default count
+    @pytest.mark.parametrize("kind", ["linear", "density"])
+    def test_linear_mass_ignores_blas_threads(self, tmp_path, monkeypatch, kind):
+        # two batches of draws (K = 10 logits, or H = 64 features for the
+        # density region), with OpenBLAS on one thread and on its default count
         head = gen_optimal_head(OptimalStructureSpec(k=10, h=64, c1=2.0), seed=1)
         save_head(tmp_path / "head.csv", head)
-        save_features(tmp_path / "f.csv",
-                      *synthesize_cluster_features(head, c3=2.0, n_per_class=300, noise=1.0))
+        features = synthesize_cluster_features(head, c3=2.0, n_per_class=300, noise=1.0)
+        save_features(tmp_path / "f.csv", *features)
+        fit_em(*features, cfg=EmConfig(max_iter=1)).save(tmp_path / "gmm.json")
+        mixture = ["--gmm", str(tmp_path / "gmm.json")] if kind == "density" else []
         outputs = []
         for threads in ("1", None):
             if threads is None:
@@ -858,7 +861,7 @@ class TestReproducibility:
                 monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
             out = tmp_path / f"threads-{threads}"
             proc = _run_python("import sys; from oodkit.cli import main; sys.exit(main())",
-                               "region", "--kind", "linear", "--mass-samples", "200000",
+                               "region", "--kind", kind, *mixture, "--mass-samples", "200000",
                                "--head", str(tmp_path / "head.csv"),
                                "--features", str(tmp_path / "f.csv"), "--outdir", str(out))
             assert proc.returncode == EXIT_OK and not proc.stderr, proc.stderr

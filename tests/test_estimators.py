@@ -284,3 +284,12 @@ class TestScoreBatch:
         cols = score_batch(head, fm, gmm=gmm)
         for i in range(40):
             assert cols["u_density"][i] == u_density(gmm, fm.data[i]).value
+        # A log-space mixture gives density 0 (u_density +inf, no warning) to
+        # a row with an entry <= 0.
+        log_gmm = GaussianMixture(gmm.weights, gmm.means, gmm.covariances, log_transform=True)
+        x = np.exp(fm.data)
+        x[3, 5], x[7] = 0.0, -1.0
+        cols = score_batch(head, FeatureMatrix(x), gmm=log_gmm)
+        assert np.array_equal(np.isinf(cols["u_density"]), np.isin(np.arange(40), [3, 7]))
+        for i in range(40):
+            assert cols["u_density"][i] == u_density(log_gmm, x[i]).value

@@ -556,6 +556,12 @@ class TestDensityRegion:
         region = density_region(gmm, 0.05)
         assert region.contains(np.array([[50.0, 50.0]]))[0]
         assert not region.contains(np.array([[0.1, 0.0]]))[0]
+        # in log space, a point with an entry <= 0 has density 0
+        log_region = density_region(GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)],
+                                                    log_transform=True), 0.05)
+        np.testing.assert_array_equal(
+            log_region.contains(np.array([[-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [1e30, 1.0]])),
+            [True, True, False, True])
 
     def test_threshold_validation(self):
         gmm = GaussianMixture([1.0], [[0.0]], [np.eye(1)])

@@ -160,9 +160,10 @@ def _benchmark_features(seed, n=20_000, h=64, k=10):
 def _mahalanobis_sq_reference(gmm, x):
     """One triangular solve (scipy's trsm) per component over the whole
     batch, independent of the cached whitening matrix."""
-    x = gmm._maybe_log(np.atleast_2d(x))
+    x = np.atleast_2d(x)
+    x = np.log(x) if gmm.log_transform else x
     out = np.empty((x.shape[0], gmm.k_components))
-    for i, L in enumerate(gmm._chols):
+    for i, L in enumerate(gmm._chol_t.transpose(0, 2, 1)):
         y = solve_triangular(L, (x - gmm.means[i]).T, lower=True)
         out[:, i] = (y * y).sum(axis=0)
     return out
@@ -207,11 +208,11 @@ class TestComponentLogDensities:
         np.testing.assert_allclose(gmm.mahalanobis_sq(x), _mahalanobis_sq_reference(gmm, x),
                                    rtol=kappa * np.finfo(float).eps, atol=0)
 
-    # 2048 rows of H=64 float64 are 1 MiB; a huge H still gets 2-row blocks.
+    # 2048 rows of H=64 float64 are 1 MiB; a huge H still gets 8-row blocks.
     @pytest.mark.parametrize("n, h, sizes", [
-        (0, 64, []), (1, 64, [1]), (2, 64, [2]), (2048, 64, [2048]), (2049, 64, [2049]),
-        (2050, 64, [1025, 1025]), (4097, 64, [2048, 2049]), (5000, 64, [1666, 1667, 1667]),
-        (5, 10 ** 9, [2, 3]), (6, 10 ** 9, [2, 2, 2])])
+        (0, 64, []), (1, 64, [1]), (2, 64, [2]), (2048, 64, [2048]), (2049, 64, [2048, 1]),
+        (2050, 64, [2048, 2]), (4097, 64, [2048, 2048, 1]), (5000, 64, [2048, 2048, 904]),
+        (5, 10 ** 9, [5]), (6, 10 ** 9, [6])])
     def test_row_blocks_cover_rows_in_order(self, n, h, sizes):
         blocks = list(_row_blocks(n, h))
         assert [rows.stop - rows.start for rows in blocks] == sizes
@@ -245,42 +246,77 @@ class TestComponentLogDensities:
 
 
 class TestOneThreadBlocks:
-    """Each BLAS product of a row block in the three blocked kernels stays
-    within _BLOCK_MACS multiply-adds, the size below which OpenBLAS ran it
-    on the calling thread (see the constant's comment)."""
+    """Each BLAS product of a row block in the four blocked kernels, its
+    block zero-padded to a multiple of 8 rows, stays within _BLOCK_MACS
+    multiply-adds, few enough that OpenBLAS runs it on the calling thread."""
 
     @pytest.mark.parametrize("h", [2, 16, 64])
     @pytest.mark.parametrize("k", [1, 2, 10, 40])
     def test_block_products_stay_within_the_bound(self, monkeypatch, k, h):
         calls = []
 
-        def recording_blocks(n, width, nbytes=gmm_mod._BLOCK_BYTES, macs=0):
-            blocks = list(_row_blocks(n, width, nbytes, macs))
+        def recording_blocks(n, width, macs=0):
+            blocks = list(_row_blocks(n, width, macs))
             if macs:  # the bounded product loops; the SYRK loop passes none
-                calls.append((n, blocks))
+                calls.append((n, macs, blocks))
             return iter(blocks)
 
         monkeypatch.setattr(gmm_mod, "_row_blocks", recording_blocks)
         rng = np.random.default_rng(k * h)
         mixture = _random_mixture(k * h, k=k, h=h)
+        one = _random_mixture(k * h, k=1, h=h)  # all its draws are one component's
         centers = rng.standard_normal((k, h))
         # (multiply-adds per block row: inner x outer of the product, kernel)
         kernels = [(h * h, mixture.mahalanobis_sq),  # rows x H @ H x H per component
                    (k * h, lambda x: _moments(x, rng.random((len(x), k)) + 0.1, 0.0)),
-                   (k * h, lambda x: _sq_dists(x, np.einsum("nh,nh->n", x, x), centers))]
+                   (k * h, lambda x: _sq_dists(x, np.einsum("nh,nh->n", x, x), centers)),
+                   (h * h, lambda x: list(one.sample_chunks(len(x), rng)))]  # rows x H @ H x H
         for per_row, kernel in kernels:
             at_bound = min(_BLOCK_MACS // per_row, 20_000)  # rows of a product at the bound
             for n in (1, 2, at_bound - 1, at_bound + 1, 20_000):
                 calls.clear()
                 kernel(rng.standard_normal((n, h)))
-                [(rows_n, blocks)] = calls
-                assert rows_n == n
+                [(rows_n, macs, blocks)] = calls
+                assert (rows_n, macs) == (n, per_row)
                 assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
-                assert max((rows.stop - rows.start) * per_row for rows in blocks) <= _BLOCK_MACS
+                padded = max(-(-(rows.stop - rows.start) // 8) * 8 for rows in blocks)
+                assert padded * per_row <= _BLOCK_MACS
 
-    def test_two_row_floor(self):
-        # a product too wide for 3 rows still gets blocks of 2 and 3 rows
-        assert [rows.stop - rows.start for rows in _row_blocks(5, 1, macs=_BLOCK_MACS)] == [2, 3]
+    def test_eight_row_floor(self):
+        # a product too wide for 8 rows still gets 8-row blocks, the tail last
+        assert [rows.stop - rows.start for rows in _row_blocks(20, 1, macs=_BLOCK_MACS)] == [8, 8, 4]
+
+
+class TestPaddedTiles:
+    """The rule of every row-wise product in gmm: a C-contiguous right operand
+    and each block zero-padded to a multiple of 8 rows. Then a row's bits
+    depend neither on the split of its batch nor on the block size, for
+    blocks within _BLOCK_MACS (above it the default OpenBLAS kernel leaves
+    its small-matrix path, whose bits differ at 10 columns)."""
+
+    @pytest.mark.parametrize("h", [10, 64])
+    def test_rows_ignore_block_size_and_split(self, monkeypatch, h):
+        rng = np.random.default_rng(h)
+        mixture = _random_mixture(h, k=3, h=h)
+        x = rng.standard_normal((20_000, h)) * 2.0
+        x_sq = np.einsum("nh,nh->n", x, x)
+        kernels = [lambda rows: mixture.mahalanobis_sq(x[rows]),
+                   lambda rows: _sq_dists(x[rows], x_sq[rows], x[:10]),
+                   lambda rows: _sq_dists(x[rows], x_sq[rows], x[:1])]  # one centre
+        outputs = []
+        for macs in (10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6):
+            monkeypatch.setattr(gmm_mod, "_BLOCK_MACS", macs)
+            whole = [kernel(slice(None)) for kernel in kernels]
+            for cut in (1, 7, 8, 777, 19_999):
+                for kernel, rows in zip(kernels, whole):
+                    np.testing.assert_array_equal(
+                        np.concatenate([kernel(slice(cut)), kernel(slice(cut, None))]), rows)
+            # and the draws of one seed, for n from 1 to 20,000
+            draws = [mixture.sample(n, np.random.default_rng(n)) for n in (1, 7, 777, 20_000)]
+            outputs.append(whole + draws)
+        for output in outputs[1:]:
+            for a, b in zip(outputs[0], output):
+                np.testing.assert_array_equal(a, b)
 
 
 def _sample_reference(gmm, n, rng):
@@ -290,6 +326,27 @@ def _sample_reference(gmm, n, rng):
                                       method="cholesky")
               for i, c in enumerate(counts) if c]
     return np.concatenate(chunks)[rng.permutation(n)]
+
+
+def _assert_near_reference(gmm, n, seed):
+    """sample(n) at seed keeps _sample_reference's stream and lies within
+    the rounding bound of its draws.
+
+    Both are mean + Z @ L^T on the same normals Z: each product lies within
+    gamma_H |Z| @ |L^T| of the exact one and each sum within u of its own
+    result (Higham 2002, sec. 3.1), for gamma_H = H u / (1 - H u).
+    """
+    rng, ref_rng, z_rng = (np.random.default_rng(seed) for _ in range(3))
+    draws = gmm.sample(n, rng)
+    ref = _sample_reference(gmm, n, ref_rng)
+    # both leave the generator at the same place in its stream
+    assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+    counts = z_rng.multinomial(n, gmm.weights)
+    scale = np.concatenate([np.abs(z_rng.standard_normal((c, gmm.h))) @ np.abs(l_t)
+                            for c, l_t in zip(counts, gmm._chol_t)])[z_rng.permutation(n)]
+    u = np.finfo(np.float64).eps / 2
+    gamma = gmm.h * u / (1 - gmm.h * u)
+    assert np.all(np.abs(draws - ref) <= 2 * gamma * scale + 2 * u * np.abs(ref))
 
 
 def _random_mixture(seed, k=10, h=64, log_transform=False):
@@ -317,40 +374,25 @@ class TestSample:
         gmm = _random_mixture(seed)
         # n=5 leaves at least five of the ten components without a draw
         for n in (1, 5, 20_000):
-            np.testing.assert_array_equal(
-                gmm.sample(n, np.random.default_rng(seed + 100)),
-                _sample_reference(gmm, n, np.random.default_rng(seed + 100)))
+            _assert_near_reference(gmm, n, seed + 100)
 
     def test_matches_stream_when_a_component_spans_pieces(self):
-        # 2050 and 4099 draws of one component span several pieces. A 2- or
-        # 3-row last piece took OpenBLAS's small-matrix path, whose bits
-        # differ from the whole-component product's. Even pieces rely on the
-        # BLAS giving them the large-product kernel; where it does not, this
-        # fails.
+        # one component's 2049 to 5000 draws span 9 to 21 pieces, the last
+        # shorter and zero-padded
         gmm = _random_mixture(5, k=1)
         for n in (2049, 2050, 4099, 5000):
-            np.testing.assert_array_equal(
-                gmm.sample(n, np.random.default_rng(n)),
-                _sample_reference(gmm, n, np.random.default_rng(n)))
+            _assert_near_reference(gmm, n, n)
 
     def test_chunks_are_the_draws_before_the_shuffle(self):
         gmm = _random_mixture(6, log_transform=True)
         rng, sample_rng = np.random.default_rng(3), np.random.default_rng(3)
         # each piece is a view of one reused buffer, so it is copied
         chunks = [piece.copy() for piece in gmm.sample_chunks(20_000, rng)]
-        assert max(len(chunk) for chunk in chunks) <= _block_rows(64) + 1
+        assert max(len(chunk) for chunk in chunks) == _block_rows(64, macs=64 * 64)
         np.testing.assert_array_equal(np.concatenate(chunks)[rng.permutation(20_000)],
                                       gmm.sample(20_000, sample_rng))
         # both leave the generator at the same place in its stream
         assert rng.integers(1 << 62) == sample_rng.integers(1 << 62)
-
-    @pytest.mark.parametrize("h, rows", [(10, 1638), (64, 256)])
-    def test_pieces_are_128_kib(self, h, rows):
-        # gmm._PIECE_BYTES per temporary, balanced within a component
-        gmm = _random_mixture(2, k=3, h=h)
-        sizes = [len(piece) for piece in gmm.sample_chunks(20_000, np.random.default_rng(0))]
-        assert sum(sizes) == 20_000
-        assert max(sizes) <= rows + 1 < 2 * min(sizes)
 
     def test_zero_draws_are_an_empty_batch(self):
         gmm = _random_mixture(4, k=3, h=5)
@@ -361,8 +403,8 @@ class TestSample:
         gmm = _random_mixture(7, k=3, h=8, log_transform=True)
         x = gmm.sample(5_000, np.random.default_rng(2))
         assert np.all(x > 0)
-        np.testing.assert_array_equal(
-            x, np.exp(_sample_reference(gmm, 5_000, np.random.default_rng(2))))
+        plain = GaussianMixture(gmm.weights, gmm.means, gmm.covariances)
+        np.testing.assert_array_equal(x, np.exp(plain.sample(5_000, np.random.default_rng(2))))
 
 
 class TestKmeansInit:
@@ -440,7 +482,7 @@ class TestMoments:
         np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=tol * np.abs(ref_cov).max())
 
     # one block, and two full blocks with a partial one
-    @pytest.mark.parametrize("n", [N, 2 * _block_rows(H) + 904])
+    @pytest.mark.parametrize("n", [N, 2 * _block_rows(H) + 914])
     def test_columns_match_one_column_calls(self, n):
         x, r = self._data(n, k=4)
         tol = n * np.finfo(np.float64).eps
