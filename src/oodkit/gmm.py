@@ -14,12 +14,12 @@ The Gaussian kernels walk the rows in ``_row_blocks``: ``mahalanobis_sq``
 (``_moments``) one ``resp.T @ x`` per block. A block is a multiple of 8 rows
 that holds about ``_BLOCK_BYTES`` per temporary and keeps each product within
 ``_BLOCK_MACS`` multiply-adds, so the kernels' scratch memory does not grow
-with N and each product runs on the calling BLAS thread. The row-wise
-products follow one rule: a C-contiguous right operand, and each block
-zero-padded to a multiple of 8 rows (``_padded``). Then a row's bits depend
-neither on where a batch is split nor on the block size (within
-``_BLOCK_MACS``), so the outputs are bitwise those of one whole-batch pass,
-and a row's ``log_density`` equals its ``log_density_batch`` entry. The EM
+with N and, on the default OpenBLAS kernel, each product runs on the calling
+thread. The row-wise products follow one rule: a C-contiguous right operand,
+and each block zero-padded to a multiple of 8 rows (``_padded``). Then a row's
+bits depend neither on where a batch is split nor on the block size (within
+``_BLOCK_MACS``), so the outputs are bitwise those of one whole-batch pass, and
+a row's ``log_density`` equals its ``log_density_batch`` entry. The EM
 covariances sum SYRK products over blocks of ``_BLOCK_BYTES`` in one buffer
 for all components, so EM holds no N x H temporary.
 """
@@ -40,7 +40,10 @@ __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 _LOG_2PI = np.log(2.0 * np.pi)
 _BLOCK_BYTES = 1 << 20  # bytes per float64 temporary of a row block
 # Multiply-adds of one row block's BLAS product, rows x inner x outer: few
-# enough that OpenBLAS keeps the product on the calling thread.
+# enough that the default OpenBLAS kernel keeps the product on the calling
+# thread and on its small-matrix path. Above 10**6 a 10-column product
+# leaves that path and its bits change with the block size, so the padded-
+# tile rule holds only for blocks within this bound.
 _BLOCK_MACS = 10 ** 6
 
 
@@ -124,8 +127,11 @@ class GaussianMixture:
             except np.linalg.LinAlgError as e:
                 raise SingularModelError(f"component {i} covariance not PD") from e
         self._log_norms = -0.5 * h * _LOG_2PI - np.log(self._chol_t.diagonal(0, 1, 2)).sum(axis=1)
-        # L^T is triangular, so solve's LU is exact: back substitution.
-        self._whiten = np.linalg.solve(self._chol_t, np.eye(h))
+        # L^T is triangular, so solve's LU is exact: back substitution. The
+        # identity is broadcast to the stack's shape: numpy 1.x reads a 2-D b
+        # against a 3-D a as a stack of vectors.
+        self._whiten = np.linalg.solve(self._chol_t,
+                                       np.broadcast_to(np.eye(h), self._chol_t.shape))
         self._shift = np.stack([mean @ w for mean, w in zip(means, self._whiten)])
 
     @property
@@ -305,9 +311,9 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 def _moments(x: np.ndarray, resp: np.ndarray, reg: float):
     """Masses nk, means sum_b resp[b].T @ x[b] / nk and covariances
     sum_b d.T @ d / nk + reg*I for each column k of the N x K' weights resp,
-    every nk checked before any division; the means sum over one-thread row
-    blocks b, and d = sqrt(resp[b, k]) * (x[b] - mean_k) over blocks of
-    ``_BLOCK_BYTES`` in one reused buffer. numpy sends d.T @ d to SYRK, and
+    every nk checked before any division; the means sum over the
+    ``_row_blocks`` b, and d = sqrt(resp[b, k]) * (x[b] - mean_k) over blocks
+    of ``_BLOCK_BYTES`` in one reused buffer. numpy sends d.T @ d to SYRK, and
     a sum of exactly symmetric blocks is exactly symmetric."""
     n, h = x.shape
     nk = resp.sum(axis=0)

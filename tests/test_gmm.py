@@ -296,6 +296,7 @@ class TestPaddedTiles:
 
     @pytest.mark.parametrize("h", [10, 64])
     def test_rows_ignore_block_size_and_split(self, monkeypatch, h):
+        assert gmm_mod._BLOCK_MACS <= 10 ** 6  # the largest bound tested below
         rng = np.random.default_rng(h)
         mixture = _random_mixture(h, k=3, h=h)
         x = rng.standard_normal((20_000, h)) * 2.0
