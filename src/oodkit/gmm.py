@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeatureMatrix, LabelVector, _as_f64, _file_content, _typed_params
-from .errors import ConfigError, DataFormatError, DimensionError, SingularModelError
+from .errors import (ConfigError, DataFormatError, DimensionError, NumericalError,
+                     SingularModelError)
 
 __all__ = ["GaussianMixture", "EmConfig", "fit_em"]
 
@@ -184,9 +185,12 @@ class GaussianMixture:
 
     def neg_log_density_grad(self, z) -> np.ndarray:
         """Gradient of -log density at a single point, the responsibility-
-        weighted sum of Sigma_i^-1 (z - mu_i) = L_i^-T L_i^-1 (z - mu_i)."""
+        weighted sum of Sigma_i^-1 (z - mu_i) = L_i^-T L_i^-1 (z - mu_i).
+        Raises where the density is 0, as off a log-space mixture's support."""
         z = np.asarray(z, dtype=np.float64)
         log_joint, total = self._log_joint(z[None, :])
+        if total[0, 0] == -np.inf:
+            raise NumericalError("density is 0: gradient of -log density undefined")
         resp = np.exp(log_joint - total)[0]
         y = (np.log(z) if self.log_transform else z) @ self._whiten - self._shift
         grad = np.einsum("kij,kj->i", self._whiten, resp[:, None] * y)

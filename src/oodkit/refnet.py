@@ -140,8 +140,8 @@ def _blob_means(k: int, dim: int, radius: float) -> np.ndarray:
 def generate(task: SyntheticTask):
     """Draw a dataset; returns (FeatureMatrix of inputs, LabelVector | None).
 
-    ``task.params`` are checked against ``TASKS[task.kind]``. Deterministic
-    for a given seed parameter.
+    ``task.params`` are checked against ``TASKS[task.kind]``, and the size of
+    their arrays, before any draw. Deterministic for a given seed parameter.
     """
     p = _typed_params(TASKS[task.kind], task.params, "task parameter")
     rng = np.random.default_rng(p["seed"])
@@ -151,6 +151,7 @@ def generate(task: SyntheticTask):
         if not (k >= 2 and dim >= 1 and n_per_class >= 1 and sigma > 0
                 and p["separation"] > 0):
             raise ConfigError("invalid blob parameters")
+        structure._check_size(k * n_per_class, dim)
         # Circle radius such that adjacent means sit `separation` sigmas apart.
         chord = 2.0 * np.sin(np.pi / k) if k > 1 and dim > 1 else 2.0 / max(k - 1, 1)
         radius = p["separation"] * sigma / chord
@@ -167,6 +168,7 @@ def generate(task: SyntheticTask):
         n, dim = p["n"], p["dim"]
         if not (n >= 1 and dim >= 1 and p["radius"] > 0 and p["width"] >= 0):
             raise ConfigError("invalid ring parameters")
+        structure._check_size(n, dim)
         dirs = rng.standard_normal((n, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         r = p["radius"] + p["width"] * rng.random(n)
@@ -176,6 +178,7 @@ def generate(task: SyntheticTask):
         n, dim, low, high = p["n"], p["dim"], p["low"], p["high"]
         if n < 1 or dim < 1 or not 0 < high - low < np.inf:
             raise ConfigError("invalid hypercube parameters")
+        structure._check_size(n, dim)
         return FeatureMatrix(rng.uniform(low, high, size=(n, dim))), None
 
     # binary_grid_ood: a uniform Bernoulli(0.5) sampler over the grid;
@@ -184,10 +187,12 @@ def generate(task: SyntheticTask):
     if task.kind == "binary_grid_ood":
         if p["n"] < 1 or grid < 1:
             raise ConfigError("invalid grid parameters")
+        structure._check_size(p["n"], grid * grid)
         return FeatureMatrix(rng.integers(0, 2, size=(p["n"], grid * grid)).astype(float)), None
     k, n_per_class, flip_prob = p["k"], p["n_per_class"], p["flip_prob"]
     if k < 2 or n_per_class < 1 or not 0.0 <= flip_prob < 0.5 or grid < 1:
         raise ConfigError("invalid grid parameters")
+    structure._check_size(k * n_per_class, grid * grid)
     proto_rng = np.random.default_rng(p["proto_seed"])
     protos = proto_rng.integers(0, 2, size=(k, grid * grid))
     x = np.concatenate([

@@ -370,6 +370,14 @@ _BAD_CONFIGS = {
     "depth-study-learning-rate-nan": ("depth-study", None, ["--learning-rate", "nan",
                                                             "--epochs", "1",
                                                             "--n-per-class", "10"]),
+    # sizes whose byte count numpy cannot address, refused before any draw
+    "task-grid-unaddressable": ("train-toy", None, ["--task", "binary_grid_ood",
+                                                    "--task-params", '{"grid": 4294967296}']),
+    "counterfactual-n-per-class-unaddressable": ("counterfactual", None,
+                                                 ["--n-per-class", str(2 ** 62)]),
+    "depth-study-dim-unaddressable": ("depth-study", None, ["--dim", str(2 ** 62)]),
+    "sampler-dim-unaddressable": ("sweep", None, ["--sampler-params",
+                                                  f'{{"dim": {2 ** 62}}}']),
 }
 
 
@@ -840,6 +848,13 @@ class TestNumpyOnly:
         proc = _run_python(script, str(tmp_path), json.dumps(runs))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [EXIT_OK] * len(runs), proc.stderr
+
+
+class TestPackageImport:
+    def test_package_import_loads_no_numpy(self):
+        # names are imported from their modules; the package itself holds none
+        proc = _run_python("import oodkit, sys; assert 'numpy' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReproducibility:

@@ -6,7 +6,8 @@ from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from oodkit.core import FeatureMatrix, LabelVector
-from oodkit.errors import ConfigError, DataFormatError, DimensionError, SingularModelError
+from oodkit.errors import (ConfigError, DataFormatError, DimensionError, NumericalError,
+                           SingularModelError)
 from oodkit import gmm as gmm_mod
 from oodkit.gmm import (_BLOCK_MACS, EmConfig, GaussianMixture, _block_rows, _kmeans_pp_init,
                         _moments, _row_blocks, _sq_dists, fit_em)
@@ -635,3 +636,9 @@ class TestFitEm:
             zm[i] -= eps
             fd = (-gmm.log_density(zp) + gmm.log_density(zm)) / (2 * eps)
             assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        # density 0 outside the log transform's support: no gradient, and no
+        # warning on the way (the suite turns warnings into errors)
+        unit = GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)], log_transform=True)
+        for z in ([-1.0, 1.0], [0.0, 1.0]):
+            with pytest.raises(NumericalError):
+                unit.neg_log_density_grad(z)
